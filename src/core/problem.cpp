@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "core/regularity.hpp"
 #include "robust/fault.hpp"
@@ -22,12 +21,37 @@ double RoutingProblem::costLowerBound() const {
 
 namespace {
 
+/// Regularity views of one object's backbones, indexed by backboneId
+/// (ids whose backbone produced no candidate keep an empty view).
+std::vector<RegularityView> backboneViews(
+    const std::vector<RouteCandidate>& cands) {
+    std::vector<RegularityView> views;
+    std::vector<char> built;
+    for (const RouteCandidate& c : cands) {
+        const auto id = static_cast<size_t>(c.backboneId);
+        if (id >= views.size()) {
+            views.resize(id + 1);
+            built.resize(id + 1, 0);
+        }
+        if (built[id] == 0) {
+            views[id] = RegularityView(c.backbone);
+            built[id] = 1;
+        }
+    }
+    return views;
+}
+
 /// Pairwise regularity blocks of one group, in (a, b) member order. Pure
 /// function of immutable problem state, so groups evaluate in parallel;
 /// the caller splices the per-group results back in group index order.
 std::vector<PairBlock> buildGroupPairBlocks(const RoutingProblem& prob,
                                             const std::vector<int>& members,
                                             const StreakOptions& opts) {
+    std::vector<std::vector<RegularityView>> views;
+    views.reserve(members.size());
+    for (const int i : members) {
+        views.push_back(backboneViews(prob.candidates[static_cast<size_t>(i)]));
+    }
     std::vector<PairBlock> blocks;
     for (size_t a = 0; a < members.size(); ++a) {
         for (size_t b = a + 1; b < members.size(); ++b) {
@@ -37,9 +61,12 @@ std::vector<PairBlock> buildGroupPairBlocks(const RoutingProblem& prob,
             const auto& candsP = prob.candidates[static_cast<size_t>(p)];
             if (candsI.empty() || candsP.empty()) continue;
 
-            // The Ratio() part depends only on the backbone pair; cache it
-            // so layer-pair expansion does not multiply the matching work.
-            std::map<std::pair<int, int>, double> ratioCache;
+            // The Ratio() part depends only on the backbone pair; evaluate
+            // it once per pair so layer-pair expansion does not multiply
+            // the matching work.
+            const auto& viewsI = views[a];
+            const auto& viewsP = views[b];
+            std::vector<double> ratios(viewsI.size() * viewsP.size(), -1.0);
             PairBlock block;
             block.objA = i;
             block.objB = p;
@@ -47,17 +74,12 @@ std::vector<PairBlock> buildGroupPairBlocks(const RoutingProblem& prob,
                               std::vector<double>(candsP.size(), 0.0));
             for (size_t j = 0; j < candsI.size(); ++j) {
                 for (size_t q = 0; q < candsP.size(); ++q) {
-                    const auto key = std::make_pair(candsI[j].backboneId,
-                                                    candsP[q].backboneId);
-                    auto it = ratioCache.find(key);
-                    if (it == ratioCache.end()) {
-                        it = ratioCache
-                                 .emplace(key, regularityRatio(
-                                                   candsI[j].backbone,
-                                                   candsP[q].backbone))
-                                 .first;
+                    const auto bi = static_cast<size_t>(candsI[j].backboneId);
+                    const auto bp = static_cast<size_t>(candsP[q].backboneId);
+                    double& ratio = ratios[bi * viewsP.size() + bp];
+                    if (ratio < 0.0) {
+                        ratio = regularityRatio(viewsI[bi], viewsP[bp]);
                     }
-                    const double ratio = it->second;
                     double c = 0.0;
                     if (ratio <= 0.0) {
                         c = opts.noSharePenalty;

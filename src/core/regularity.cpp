@@ -2,47 +2,36 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
-
-#include "core/similarity.hpp"
 
 namespace streak {
 
-namespace {
-
-struct MatchView {
-    std::vector<geom::Point> points;
-    std::vector<SimilarityVector> svs;
-    steiner::TopoStructure st;
-};
-
-MatchView makeView(const steiner::Topology& t) {
-    MatchView mv;
-    mv.st = t.structure();
-    mv.points.reserve(mv.st.nodes.size());
+RegularityView::RegularityView(const steiner::Topology& t) {
+    steiner::TopoStructure st = t.structure();
+    points.reserve(st.nodes.size());
     int driverNode = -1;
-    for (size_t i = 0; i < mv.st.nodes.size(); ++i) {
-        mv.points.push_back(mv.st.nodes[i].pt);
-        if (mv.st.nodes[i].pinIndex == t.driverIndex()) {
+    for (size_t i = 0; i < st.nodes.size(); ++i) {
+        points.push_back(st.nodes[i].pt);
+        if (st.nodes[i].pinIndex == t.driverIndex()) {
             driverNode = static_cast<int>(i);
         }
     }
-    const int weight = static_cast<int>(mv.points.size()) + 1;
-    mv.svs.reserve(mv.points.size());
-    for (size_t i = 0; i < mv.points.size(); ++i) {
-        mv.svs.push_back(weightedSimilarity(mv.points, static_cast<int>(i),
-                                            driverNode, weight));
+    const int weight = static_cast<int>(points.size()) + 1;
+    svs.reserve(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        svs.push_back(weightedSimilarity(points, static_cast<int>(i),
+                                         driverNode, weight));
     }
-    return mv;
+    rcs = std::move(st.rcs);
+    rcKeys.reserve(rcs.size());
+    for (const auto& [u, v] : rcs) {
+        rcKeys.emplace_back(std::min(u, v), std::max(u, v));
+    }
+    std::sort(rcKeys.begin(), rcKeys.end());
+    rcKeys.erase(std::unique(rcKeys.begin(), rcKeys.end()), rcKeys.end());
 }
 
-}  // namespace
-
-double regularityRatio(const steiner::Topology& t1,
-                       const steiner::Topology& t2) {
-    const MatchView a = makeView(t1);
-    const MatchView b = makeView(t2);
-    const int nrc = std::min(a.st.numRCs(), b.st.numRCs());
+double regularityRatio(const RegularityView& a, const RegularityView& b) {
+    const int nrc = static_cast<int>(std::min(a.rcs.size(), b.rcs.size()));
     if (nrc == 0) return 1.0;  // trivially shared (no connections to differ)
 
     // Closest-SV matching of every node of t1 to a node of t2 (many-to-one
@@ -64,29 +53,37 @@ double regularityRatio(const steiner::Topology& t1,
         match[i] = best;
     }
 
-    std::set<std::pair<int, int>> rcSet;
-    for (const auto& [u, v] : b.st.rcs) {
-        rcSet.insert({std::min(u, v), std::max(u, v)});
-    }
     int matched = 0;
-    for (const auto& [u, v] : a.st.rcs) {
+    for (const auto& [u, v] : a.rcs) {
         const int mu = match[static_cast<size_t>(u)];
         const int mv = match[static_cast<size_t>(v)];
         if (mu == mv) continue;
-        if (rcSet.contains({std::min(mu, mv), std::max(mu, mv)})) ++matched;
+        if (std::binary_search(b.rcKeys.begin(), b.rcKeys.end(),
+                               std::make_pair(std::min(mu, mv),
+                                              std::max(mu, mv)))) {
+            ++matched;
+        }
     }
     return std::min(1.0, static_cast<double>(matched) / nrc);
+}
+
+double regularityRatio(const steiner::Topology& t1,
+                       const steiner::Topology& t2) {
+    return regularityRatio(RegularityView(t1), RegularityView(t2));
 }
 
 double groupRegularity(
     const std::vector<const steiner::Topology*>& objectTopologies) {
     const int n = static_cast<int>(objectTopologies.size());
     if (n < 2) return 1.0;
+    std::vector<RegularityView> views;
+    views.reserve(objectTopologies.size());
+    for (const steiner::Topology* t : objectTopologies) views.emplace_back(*t);
     double sum = 0.0;
     for (int i = 0; i < n; ++i) {
         for (int p = i + 1; p < n; ++p) {
-            sum += regularityRatio(*objectTopologies[static_cast<size_t>(i)],
-                                   *objectTopologies[static_cast<size_t>(p)]);
+            sum += regularityRatio(views[static_cast<size_t>(i)],
+                                   views[static_cast<size_t>(p)]);
         }
     }
     return 2.0 * sum / (static_cast<double>(n) * (n - 1));

@@ -2,6 +2,8 @@
 // bottom-up clustering (Alg. 3) and distance refinement (Alg. 4).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/pd_solver.hpp"
 #include "post/clustering.hpp"
 #include "post/layer_predict.hpp"
@@ -96,12 +98,21 @@ TEST(Clustering, MergedBitsShareClusterKey) {
     // the object-level failure by blocking one bit's track on layer 0.
     d.grid.addBlockage({{8, 9}, {10, 9}}, 0, 0);
     PdRun r(std::move(d));
-    post::clusterAndRoute(r.prob, &r.routed);
-    // All routed bits carry some cluster key; keys of post-routed bits
-    // start at numObjects.
+    const post::ClusteringResult res =
+        post::clusterAndRoute(r.prob, &r.routed);
+    ASSERT_GT(res.bitsRouted, 1);
+    // Post-routed bits get fresh keys >= numObjects; bits whose routes
+    // reached ratio 1 were merged and share one key.
+    std::map<int, int> bitsPerPostKey;
     for (const RoutedBit& b : r.routed.bits) {
         EXPECT_GE(b.clusterKey, 0);
+        if (b.clusterKey >= r.prob.numObjects()) ++bitsPerPostKey[b.clusterKey];
     }
+    int shared = 0;
+    for (const auto& [key, count] : bitsPerPostKey) {
+        if (count >= 2) ++shared;
+    }
+    EXPECT_GE(shared, 1);
     EXPECT_EQ(r.routed.usage.totalOverflow(), 0);
 }
 

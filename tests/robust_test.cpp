@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "check/audit.hpp"
+#include "core/pd_solver.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "io/design_io.hpp"
+#include "post/clustering.hpp"
 #include "robust/control.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
@@ -319,6 +322,121 @@ TEST(FlowRobustness, UncancelledTicketedRunMatchesPlainRun) {
     EXPECT_EQ(a.metrics.totalOverflow, b.metrics.totalOverflow);
     EXPECT_EQ(a.distanceViolationsAfter, b.distanceViolationsAfter);
     EXPECT_FALSE(b.degraded());
+}
+
+// ------------------------------------------------------- clustering
+
+/// Full synth6 routed by the primal-dual solver, leftovers still
+/// unrouted: the input of the clustering pass.
+struct ClusteringInput {
+    Design design = gen::makeSynth(6);
+    RoutingProblem prob = buildProblem(design, StreakOptions{});
+    RoutedDesign routed = materialize(prob, solvePrimalDual(prob).solution);
+};
+
+TEST(ClusteringControl, CancelledTicketStopsClustering) {
+    ClusteringInput in;
+    ASSERT_FALSE(in.routed.unroutedMembers.empty());
+    auto cancel = std::make_shared<CancelToken>();
+    cancel->requestCancel();
+    in.prob.opts.control = Ticket(nullptr, cancel);
+    try {
+        (void)post::clusterAndRoute(in.prob, &in.routed);
+        FAIL() << "clustering ignored a cancelled ticket";
+    } catch (const StreakException& e) {
+        EXPECT_EQ(e.error().kind, ErrorKind::Cancelled);
+        EXPECT_EQ(e.error().site, "post/cluster");
+        EXPECT_FALSE(e.error().recoverable);
+    }
+}
+
+TEST(ClusteringControl, ExpiredDeadlineTripsRecoverably) {
+    ClusteringInput in;
+    in.prob.opts.control =
+        Ticket(std::make_shared<Deadline>(1e-9), nullptr);
+    try {
+        (void)post::clusterAndRoute(in.prob, &in.routed);
+        FAIL() << "clustering ignored an expired deadline";
+    } catch (const StreakException& e) {
+        EXPECT_EQ(e.error().kind, ErrorKind::DeadlineExpired);
+        EXPECT_EQ(e.error().site, "post/cluster");
+        EXPECT_TRUE(e.error().recoverable);
+    }
+}
+
+/// [start, end] of the run's post/cluster span, or {-1, -1} when the
+/// run never finished clustering (traced runs only).
+std::pair<double, double> clusteringWindow(const obs::Trace& trace) {
+    for (const obs::Span& span : trace) {
+        if (span.name == "post/cluster" && span.endSeconds >= 0.0) {
+            return {span.startSeconds, span.endSeconds};
+        }
+    }
+    return {-1.0, -1.0};
+}
+
+TEST(FlowRobustness, DeadlineInsideClusteringRollsBackPostOptimization) {
+    // A deadline that expires while clustering runs must take the
+    // post.rolled_back rung: the run returns the audited pre-post
+    // routing. Where clustering sits on the run's clock varies with the
+    // host, so each attempt aims at the middle of the clustering span
+    // last observed, until a trip lands inside it.
+    const Design d = gen::makeSynth(6);
+    StreakOptions opts;
+    opts.postOptimize = true;
+    opts.observer = [](const StreakObservation&) {};  // spans on
+    StreakOptions noPost = opts;
+    noPost.postOptimize = false;
+    const StreakResult prePost = runStreak(d, noPost).value();
+
+    auto window = clusteringWindow(runStreak(d, opts).value().trace);
+    ASSERT_GE(window.first, 0.0) << "the plain run never reached clustering";
+
+    bool landed = false;
+    for (int attempt = 0; attempt < 40 && !landed; ++attempt) {
+        StreakOptions timed = opts;
+        timed.deadlineSeconds = 0.5 * (window.first + window.second);
+        const FlowResult res = runStreak(d, timed);
+        if (!res.ok()) {
+            // No rung absorbs a trip in build or solve: aim later.
+            const double width = window.second - window.first;
+            window = {window.first + 0.5 * width, window.second + 0.5 * width};
+            continue;
+        }
+        const StreakResult& r = res.value();
+        for (const Degradation& deg : r.degradations) {
+            landed = landed || (deg.rung == "post.rolled_back" &&
+                                deg.site == "post/cluster");
+        }
+        if (!landed) {
+            const auto seen = clusteringWindow(r.trace);
+            if (seen.first >= 0.0) {
+                window = seen;  // clustering finished: re-aim on this run
+            } else {
+                // Tripped before clustering (distance or post skipped).
+                const double width = window.second - window.first;
+                window = {window.first + 0.5 * width,
+                          window.second + 0.5 * width};
+            }
+            continue;
+        }
+        ASSERT_EQ(r.degradations.size(), 1U);
+        EXPECT_EQ(r.degradations.front().stage, stage::kPost);
+        const check::AuditResult audit =
+            check::auditRoutedDesign(r.problem, r.routed);
+        EXPECT_TRUE(audit.ok()) << audit.summary();
+        ASSERT_EQ(r.routed.bits.size(), prePost.routed.bits.size());
+        for (size_t k = 0; k < r.routed.bits.size(); ++k) {
+            EXPECT_TRUE(r.routed.bits[k].topo == prePost.routed.bits[k].topo);
+            EXPECT_EQ(r.routed.bits[k].clusterKey,
+                      prePost.routed.bits[k].clusterKey);
+        }
+        EXPECT_EQ(r.routed.unroutedMembers, prePost.routed.unroutedMembers);
+        EXPECT_EQ(r.metrics.routedBits, prePost.metrics.routedBits);
+        EXPECT_EQ(r.metrics.wirelength, prePost.metrics.wirelength);
+        EXPECT_EQ(r.distanceViolationsAfter, prePost.distanceViolationsAfter);
+    }
+    EXPECT_TRUE(landed) << "no deadline landed inside clustering";
 }
 
 TEST(FlowRobustness, FlowResultContractIsEnforced) {

@@ -38,7 +38,7 @@ long long solverVias(const StreakResult& r) {
     long long vias = 0;
     for (size_t i = 0; i < r.solverSolution.chosen.size(); ++i) {
         const int c = r.solverSolution.chosen[i];
-        if (c >= 0) vias += r.problem.candidates[i][static_cast<size_t>(c)].viaCount;
+        if (c >= 0) vias += r.problem.candidates[i][static_cast<size_t>(c)].viaCount();
     }
     return vias;
 }

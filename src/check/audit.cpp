@@ -87,10 +87,10 @@ AuditResult auditProblem(const RoutingProblem& prob) {
                 r.addf("object {} candidate {}: cost {} not finite and >= 0",
                        i, j, c.cost);
             }
-            if (static_cast<int>(c.bitTopologies.size()) != obj.width()) {
+            if (static_cast<int>(c.bitTopologies().size()) != obj.width()) {
                 r.addf("object {} candidate {}: {} bit topologies for a "
                        "{}-bit object",
-                       i, j, c.bitTopologies.size(), obj.width());
+                       i, j, c.bitTopologies().size(), obj.width());
             }
             if (!validLayerPair(grid, c.hLayer, c.vLayer)) {
                 r.addf("object {} candidate {}: layer pair (h={}, v={}) "
@@ -99,7 +99,7 @@ AuditResult auditProblem(const RoutingProblem& prob) {
             }
             auditDemandList(grid, c.edgeUse, grid.numEdges(), "edge", i,
                             static_cast<int>(j), &r);
-            auditDemandList(grid, c.viaUse, grid.numCells(), "via cell", i,
+            auditDemandList(grid, c.viaUse(), grid.numCells(), "via cell", i,
                             static_cast<int>(j), &r);
         }
     }
@@ -208,7 +208,7 @@ AuditResult auditSolution(const RoutingProblem& prob,
         for (const auto& [edge, amount] : cand.edgeUse) {
             usage[static_cast<size_t>(edge)] += amount;
         }
-        for (const auto& [cell, amount] : cand.viaUse) {
+        for (const auto& [cell, amount] : cand.viaUse()) {
             vias[static_cast<size_t>(cell)] += amount;
         }
     }

@@ -33,12 +33,37 @@ std::unordered_map<int, int> buildAxisMap(
     return map;
 }
 
-}  // namespace
+/// The member-independent part of Algorithm 1 for one backbone: its
+/// feature structure and the distinct coordinates the axis maps need.
+struct BackboneFrame {
+    steiner::TopoStructure st;
+    std::vector<int> xs;
+    std::vector<int> ys;
+};
 
-steiner::Topology equivalentTopology(const steiner::Topology& backbone,
-                                     const SignalGroup& group,
-                                     const RoutingObject& object,
-                                     int memberIndex) {
+BackboneFrame frameOf(const steiner::Topology& backbone) {
+    // Remap at the *structure* level: only the feature nodes (pins, bends,
+    // junctions) move, and each straight RC is redrawn between its mapped
+    // endpoints. Feature-node coordinates lie on the Hanan grid of the
+    // representative pins, so the axis maps are exact there; remapping
+    // interior wire coordinates instead would create overhangs whenever
+    // bits of one object are stretched differently.
+    BackboneFrame f{backbone.structure(), {}, {}};
+    std::unordered_set<int> xSeen, ySeen;
+    const auto note = [&](geom::Point p) {
+        if (xSeen.insert(p.x).second) f.xs.push_back(p.x);
+        if (ySeen.insert(p.y).second) f.ys.push_back(p.y);
+    };
+    for (const auto& n : f.st.nodes) note(n.pt);
+    for (const geom::Point p : backbone.pins()) note(p);
+    return f;
+}
+
+steiner::Topology equivalentFromFrame(const BackboneFrame& frame,
+                                      const steiner::Topology& backbone,
+                                      const SignalGroup& group,
+                                      const RoutingObject& object,
+                                      int memberIndex) {
     const Bit& member = group.bits[static_cast<size_t>(
         object.bitIndices[static_cast<size_t>(memberIndex)])];
     const std::vector<int>& pinMap =
@@ -63,29 +88,13 @@ steiner::Topology equivalentTopology(const steiner::Topology& backbone,
         memYs.push_back(member.pins[static_cast<size_t>(m)].y);
     }
 
-    // Remap at the *structure* level: only the feature nodes (pins, bends,
-    // junctions) move, and each straight RC is redrawn between its mapped
-    // endpoints. Feature-node coordinates lie on the Hanan grid of the
-    // representative pins, so the axis maps are exact there; remapping
-    // interior wire coordinates instead would create overhangs whenever
-    // bits of one object are stretched differently.
-    const steiner::TopoStructure st = backbone.structure();
-    std::vector<int> xs, ys;
-    {
-        std::unordered_set<int> xSeen, ySeen;
-        const auto note = [&](geom::Point p) {
-            if (xSeen.insert(p.x).second) xs.push_back(p.x);
-            if (ySeen.insert(p.y).second) ys.push_back(p.y);
-        };
-        for (const auto& n : st.nodes) note(n.pt);
-        for (const geom::Point p : repPins) note(p);
-    }
-    const auto xMap = buildAxisMap(xs, repXs, memXs);
-    const auto yMap = buildAxisMap(ys, repYs, memYs);
+    const auto xMap = buildAxisMap(frame.xs, repXs, memXs);
+    const auto yMap = buildAxisMap(frame.ys, repYs, memYs);
     const auto mapPt = [&](geom::Point p) -> geom::Point {
         return {xMap.at(p.x), yMap.at(p.y)};
     };
 
+    const steiner::TopoStructure& st = frame.st;
     steiner::Topology out(member.pins, member.driver);
     for (const auto& [u, v] : st.rcs) {
         out.addSegment({mapPt(st.nodes[static_cast<size_t>(u)].pt),
@@ -105,13 +114,24 @@ steiner::Topology equivalentTopology(const steiner::Topology& backbone,
     return out;
 }
 
+}  // namespace
+
+steiner::Topology equivalentTopology(const steiner::Topology& backbone,
+                                     const SignalGroup& group,
+                                     const RoutingObject& object,
+                                     int memberIndex) {
+    return equivalentFromFrame(frameOf(backbone), backbone, group, object,
+                               memberIndex);
+}
+
 std::vector<steiner::Topology> equivalentTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object) {
+    const BackboneFrame frame = frameOf(backbone);
     std::vector<steiner::Topology> out;
     out.reserve(object.bitIndices.size());
     for (int k = 0; k < object.width(); ++k) {
-        out.push_back(equivalentTopology(backbone, group, object, k));
+        out.push_back(equivalentFromFrame(frame, backbone, group, object, k));
     }
     return out;
 }

@@ -73,7 +73,7 @@ std::map<int, std::vector<int>> constrainedViaCells(
     std::map<int, std::map<int, int>> maxUse;
     for (int i = 0; i < prob.numObjects(); ++i) {
         for (const RouteCandidate& c : prob.candidates[static_cast<size_t>(i)]) {
-            for (const auto& [cell, amount] : c.viaUse) {
+            for (const auto& [cell, amount] : c.viaUse()) {
                 int& slot = maxUse[cell][i];
                 slot = std::max(slot, amount);
             }
@@ -279,7 +279,7 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
                 if (rootOf[static_cast<size_t>(i)] != root) continue;
                 const auto& cands = prob.candidates[static_cast<size_t>(i)];
                 for (size_t j = 0; j < cands.size(); ++j) {
-                    const auto& use = cands[j].viaUse;
+                    const auto& use = cands[j].viaUse();
                     const auto it = std::lower_bound(
                         use.begin(), use.end(), std::make_pair(cell, 0));
                     if (it != use.end() && it->first == cell) {

@@ -91,7 +91,7 @@ public:
             for (const auto& [edge, amount] : cand.edgeUse) {
                 usage_.add(edge, amount);
             }
-            for (const auto& [cell, amount] : cand.viaUse) {
+            for (const auto& [cell, amount] : cand.viaUse()) {
                 usage_.addVias(cell, amount);
             }
             // Line 9: remove primal solutions made infeasible by the
@@ -170,7 +170,7 @@ private:
                     }
                 }
                 if (!alive_[static_cast<size_t>(i)][j]) continue;
-                for (const auto& [cell, amount] : cands[j].viaUse) {
+                for (const auto& [cell, amount] : cands[j].viaUse()) {
                     if (usage_.viaRemaining(cell) < amount) {
                         alive_[static_cast<size_t>(i)][j] = false;
                         ++prunedCandidates_;

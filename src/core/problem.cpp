@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/regularity.hpp"
+#include "obs/trace.hpp"
 #include "robust/fault.hpp"
 
 namespace streak {
@@ -34,7 +35,7 @@ std::vector<RegularityView> backboneViews(
             built.resize(id + 1, 0);
         }
         if (built[id] == 0) {
-            views[id] = RegularityView(c.backbone);
+            views[id] = RegularityView(c.backbone());
             built[id] = 1;
         }
     }
@@ -118,16 +119,20 @@ RoutingProblem buildProblem(const Design& design, const StreakOptions& opts,
 
     // Per-object 3-D candidate expansion: independent across objects,
     // collected by object index.
-    prob.candidates = pool.parallelMap<std::vector<RouteCandidate>>(
-        static_cast<int>(prob.objects.size()), [&](int i) {
-            STREAK_FAULT_POINT("build/candidates");
-            return generateCandidates(
-                design, prob.objects[static_cast<size_t>(i)], opts);
-        });
+    {
+        STREAK_SPAN("build/candidates");
+        prob.candidates = pool.parallelMap<std::vector<RouteCandidate>>(
+            static_cast<int>(prob.objects.size()), [&](int i) {
+                STREAK_FAULT_POINT("build/candidates");
+                return generateCandidates(
+                    design, prob.objects[static_cast<size_t>(i)], opts);
+            });
+    }
 
     // Pairwise regularity costs between objects of one group: evaluated
     // per group in parallel, then spliced in group index order so block
     // ids and pairsOf lists match the sequential path exactly.
+    STREAK_SPAN("build/pairs");
     prob.pairsOf.assign(prob.objects.size(), {});
     pool.orderedReduce<std::vector<PairBlock>>(
         static_cast<int>(prob.groupObjects.size()),

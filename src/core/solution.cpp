@@ -51,7 +51,7 @@ int makeCapacityFeasible(const RoutingProblem& prob, RoutingSolution* sol) {
             if (j < 0) continue;
             for (const auto& [cell, amount] :
                  prob.candidates[static_cast<size_t>(i)]
-                                [static_cast<size_t>(j)].viaUse) {
+                                [static_cast<size_t>(j)].viaUse()) {
                 viaUsage[static_cast<size_t>(cell)] += amount;
                 viaUsers[cell].emplace_back(i, amount);
             }
@@ -67,7 +67,7 @@ int makeCapacityFeasible(const RoutingProblem& prob, RoutingSolution* sol) {
         for (const auto& [e2, a2] : cand.edgeUse) {
             usage[static_cast<size_t>(e2)] -= a2;
         }
-        for (const auto& [c2, a2] : cand.viaUse) {
+        for (const auto& [c2, a2] : cand.viaUse()) {
             viaUsage[static_cast<size_t>(c2)] -= a2;
         }
         sol->chosen[static_cast<size_t>(victim)] = -1;
@@ -128,7 +128,7 @@ RoutedDesign materialize(const RoutingProblem& prob,
             bit.objectIndex = i;
             bit.memberIndex = k;
             bit.clusterKey = i;
-            bit.topo = cand.bitTopologies[static_cast<size_t>(k)];
+            bit.topo = cand.bitTopologies()[static_cast<size_t>(k)];
             bit.hLayer = cand.hLayer;
             bit.vLayer = cand.vLayer;
             rd.bits.push_back(std::move(bit));
@@ -136,7 +136,7 @@ RoutedDesign materialize(const RoutingProblem& prob,
         for (const auto& [edge, amount] : cand.edgeUse) {
             rd.usage.add(edge, amount);
         }
-        for (const auto& [cell, amount] : cand.viaUse) {
+        for (const auto& [cell, amount] : cand.viaUse()) {
             rd.usage.addVias(cell, amount);
         }
     }

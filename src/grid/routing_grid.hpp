@@ -43,6 +43,12 @@ public:
     /// Total number of 3-D edges across all layers.
     [[nodiscard]] int numEdges() const { return static_cast<int>(capacity_.size()); }
 
+    /// First edge id of `layer`. Every layer owns one contiguous id range
+    /// whose in-layer layout depends only on the layer's direction, so
+    /// edgeId(l, x, y) - layerOffset(l) is the same for all layers of one
+    /// direction.
+    [[nodiscard]] int layerOffset(int layer) const { return layerOffset_[layer]; }
+
     /// Edge id for the edge leaving G-Cell (x, y) in the layer's direction:
     /// (x,y)-(x+1,y) on horizontal layers, (x,y)-(x,y+1) on vertical ones.
     [[nodiscard]] int edgeId(int layer, int x, int y) const {

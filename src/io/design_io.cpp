@@ -1,6 +1,7 @@
 #include "io/design_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,6 +37,51 @@ int columnOf(std::istringstream& ss, const std::string& line) {
     const auto pos = ss.tellg();
     if (pos < 0) return static_cast<int>(line.size()) + 1;
     return static_cast<int>(pos) + 1;
+}
+
+/// Parse and validate the fields of a GRID record. Each field must meet
+/// its minimum (a 2x2 grid, two layers, non-negative capacity), and every
+/// 3-D cell plus every edge id must be addressable by an int, so that
+/// RoutingGrid neither rejects the grid nor overflows its ids.
+void readGrid(std::istringstream& ss, const std::string& line, int lineNo,
+              int* width, int* height, int* layers, int* cap) {
+    struct Field {
+        const char* name;
+        int* value;
+        int min;
+    };
+    for (const Field& f : {Field{"width", width, 2}, Field{"height", height, 2},
+                           Field{"layers", layers, 2},
+                           Field{"capacity", cap, 0}}) {
+        ss >> std::ws;
+        const int column = columnOf(ss, line);
+        ss >> *f.value;
+        if (!ss) fail("bad GRID line", lineNo, columnOf(ss, line));
+        if (*f.value < f.min) {
+            fail("GRID " + std::string(f.name) + " must be at least " +
+                     std::to_string(f.min) + ", got " +
+                     std::to_string(*f.value),
+                 lineNo, column);
+        }
+    }
+    // Bounded step by step so no product overflows: cells <= INT_MAX
+    // keeps cells * layers and the edge count below 2^62.
+    constexpr long long kMaxIds = std::numeric_limits<int>::max();
+    const long long cells = static_cast<long long>(*width) * *height;
+    const long long hLayers = (static_cast<long long>(*layers) + 1) / 2;
+    const long long vLayers = *layers / 2;
+    const bool fits =
+        cells <= kMaxIds &&
+        cells * *layers + hLayers * (*width - 1) * *height +
+                vLayers * *width * (*height - 1) <=
+            kMaxIds;
+    if (!fits) {
+        fail("GRID " + std::to_string(*width) + " x " +
+                 std::to_string(*height) + " x " + std::to_string(*layers) +
+                 " is too large: its cells x layers plus edge ids exceed " +
+                 std::to_string(kMaxIds),
+             lineNo, 1);
+    }
 }
 
 }  // namespace
@@ -154,8 +200,7 @@ Design readDesign(std::istream& is) {
         std::string kind;
         ss >> kind;
         if (kind == "GRID") {
-            ss >> width >> height >> layers >> cap;
-            if (!ss) fail("bad GRID line", lineNo, columnOf(ss, line));
+            readGrid(ss, line, lineNo, &width, &height, &layers, &cap);
             haveGrid = true;
         } else if (kind == "BLOCKAGE") {
             Blockage b{};

@@ -36,7 +36,7 @@ public:
         const RouteCandidate& c =
             prob_.candidates[static_cast<size_t>(obj)][static_cast<size_t>(cand)];
         for (const auto& [edge, amount] : c.edgeUse) usage_.add(edge, amount);
-        for (const auto& [cell, amount] : c.viaUse) {
+        for (const auto& [cell, amount] : c.viaUse()) {
             usage_.addVias(cell, amount);
         }
     }
@@ -47,7 +47,7 @@ public:
         for (const auto& [edge, amount] : c.edgeUse) {
             usage_.remove(edge, amount);
         }
-        for (const auto& [cell, amount] : c.viaUse) {
+        for (const auto& [cell, amount] : c.viaUse()) {
             usage_.removeVias(cell, amount);
         }
     }
@@ -56,7 +56,7 @@ public:
         for (const auto& [edge, amount] : c.edgeUse) {
             if (usage_.remaining(edge) < amount) return false;
         }
-        for (const auto& [cell, amount] : c.viaUse) {
+        for (const auto& [cell, amount] : c.viaUse()) {
             if (usage_.viaRemaining(cell) < amount) return false;
         }
         return true;

@@ -284,16 +284,23 @@ std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
     for (Topology& t : raw) {
         if (seen.insert(t.wireHash()).second) unique.push_back(std::move(t));
     }
-    std::stable_sort(unique.begin(), unique.end(),
-                     [&](const Topology& a, const Topology& b) {
-                         const int ca = a.wirelength() + opts.bendPenalty * a.bendCount();
-                         const int cb = b.wirelength() + opts.bendPenalty * b.bendCount();
-                         return ca < cb;
-                     });
-    if (static_cast<int>(unique.size()) > opts.maxCandidates) {
-        unique.resize(static_cast<size_t>(opts.maxCandidates));
+    // Each key is computed once; sorting (key, position) pairs keeps ties
+    // in dedupe order, exactly as a stable sort on the keys would.
+    std::vector<std::pair<int, size_t>> rank;
+    rank.reserve(unique.size());
+    for (size_t i = 0; i < unique.size(); ++i) {
+        rank.emplace_back(
+            unique[i].wirelength() + opts.bendPenalty * unique[i].bendCount(),
+            i);
     }
-    return unique;
+    std::sort(rank.begin(), rank.end());
+    if (static_cast<int>(rank.size()) > opts.maxCandidates) {
+        rank.resize(static_cast<size_t>(opts.maxCandidates));
+    }
+    std::vector<Topology> ranked;
+    ranked.reserve(rank.size());
+    for (const auto& [key, i] : rank) ranked.push_back(std::move(unique[i]));
+    return ranked;
 }
 
 }  // namespace streak::steiner

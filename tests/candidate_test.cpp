@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "candidate_oracle.hpp"
 #include "core/identify.hpp"
 #include "test_util.hpp"
 
@@ -54,7 +57,7 @@ TEST(GenerateCandidates, EdgeUseMatchesBitTopologies) {
     // bit adds one track).
     long totalUse = 0;
     for (const auto& [edge, amount] : c.edgeUse) totalUse += amount;
-    EXPECT_EQ(totalUse, c.wirelength2d);
+    EXPECT_EQ(totalUse, c.wirelength2d());
     // Sorted by edge id.
     for (size_t i = 1; i < c.edgeUse.size(); ++i) {
         EXPECT_LT(c.edgeUse[i - 1].first, c.edgeUse[i].first);
@@ -114,6 +117,49 @@ TEST(ComputeEdgeUse, SingleTopology) {
     for (const auto& [edge, amount] : use) {
         EXPECT_EQ(amount, 1);
         EXPECT_EQ(d.grid.edgeCoord(edge).layer, 0);
+    }
+}
+
+/// A random wire with pins, partly outside a 12 x 10 grid so the
+/// validity and containment filters matter.
+steiner::Topology randomTopology(std::mt19937* rng) {
+    std::uniform_int_distribution<int> coord(-3, 14);
+    std::uniform_int_distribution<int> count(1, 6);
+    std::vector<Point> pins;
+    const int numPins = count(*rng);
+    for (int k = 0; k < numPins; ++k) pins.push_back({coord(*rng), coord(*rng)});
+    steiner::Topology t(pins, 0);
+    const int numSegments = count(*rng) + 2;
+    for (int k = 0; k < numSegments; ++k) {
+        const Point a{coord(*rng), coord(*rng)};
+        const Point b = (k % 2 == 0) ? Point{coord(*rng), a.y}
+                                     : Point{a.x, coord(*rng)};
+        t.addSegment({a, b});
+    }
+    return t;
+}
+
+TEST(ComputeUse, MatchesOrderedMapReferenceOnRandomTopologies) {
+    const grid::RoutingGrid grid(12, 10, 5, 4);
+    std::mt19937 rng(7);
+    std::uniform_int_distribution<int> layer(0, grid.numLayers() - 1);
+    std::uniform_int_distribution<int> width(1, 5);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<steiner::Topology> bits;
+        const int n = width(rng);
+        for (int k = 0; k < n; ++k) bits.push_back(randomTopology(&rng));
+        // Any layer pair, including same-direction and equal layers.
+        const int h = layer(rng);
+        const int v = layer(rng);
+        EXPECT_EQ(computeEdgeUse(grid, bits, h, v),
+                  testoracle::edgeUseOracle(grid, bits, h, v));
+        EXPECT_EQ(computeEdgeUse(grid, bits.front(), h, v),
+                  testoracle::edgeUseOracle(grid, {bits.front()}, h, v));
+        EXPECT_EQ(computeViaUse(grid, bits),
+                  testoracle::viaUseOracle(grid, bits));
+        EXPECT_EQ(computeViaUse(grid, bits.front()),
+                  testoracle::viaUseOracle(grid, {bits.front()}));
     }
 }
 

@@ -103,5 +103,23 @@ TEST(EdgeUsage, ClearResets) {
     EXPECT_EQ(u.usage(g.edgeId(0, 0, 0)), 0);
 }
 
+TEST(RoutingGrid, LayerOffsetsAreContiguousPerDirection) {
+    const RoutingGrid g(7, 5, 4, 1);
+    EXPECT_EQ(g.layerOffset(0), 0);
+    for (int l = 0; l < g.numLayers(); ++l) {
+        // The in-layer layout depends only on the direction.
+        const int sameDir = l >= 2 ? l - 2 : l + 2;
+        EXPECT_EQ(g.edgeId(l, 2, 3) - g.layerOffset(l),
+                  g.edgeId(sameDir, 2, 3) - g.layerOffset(sameDir));
+        // Each layer's ids end where the next layer's begin.
+        const int end = l + 1 < g.numLayers() ? g.layerOffset(l + 1)
+                                              : g.numEdges();
+        const int last = g.layerDir(l) == Dir::Horizontal
+                             ? g.edgeId(l, g.width() - 2, g.height() - 1)
+                             : g.edgeId(l, g.width() - 1, g.height() - 2);
+        EXPECT_EQ(last + 1, end);
+    }
+}
+
 }  // namespace
 }  // namespace streak::grid

@@ -139,6 +139,92 @@ TEST(DesignIo, CountMismatchReportsDeclaringLine) {
     }
 }
 
+/// Outcome of reading a design whose only record is `gridLine`: "ok",
+/// "invalid-input", or a description of any other failure.
+std::string readGridOutcome(const std::string& gridLine) {
+    std::stringstream ss("STREAK 1\n" + gridLine + "\n");
+    try {
+        (void)readDesign(ss);
+        return "ok";
+    } catch (const robust::StreakException& e) {
+        if (e.error().kind != robust::ErrorKind::InvalidInput) {
+            return "wrong kind: " + std::string(e.what());
+        }
+        const std::string what = e.what();
+        if (what.find("line 2, column") == std::string::npos) {
+            return "no line/column: " + what;
+        }
+        return "invalid-input";
+    } catch (const std::exception& e) {
+        return "escaped: " + std::string(e.what());
+    }
+}
+
+TEST(DesignIo, GridHeaderFieldTable) {
+    struct Case {
+        const char* line;
+        bool ok;
+    };
+    const Case cases[] = {
+        // Smallest legal grid, zero capacity, odd and even layer counts.
+        {"GRID 2 2 2 0", true},
+        {"GRID 8 8 2 4", true},
+        {"GRID 8 8 3 2147483647", true},
+        // Field minima.
+        {"GRID -5 4 2 16", false},
+        {"GRID 1 4 2 16", false},
+        {"GRID 3 1 2 16", false},
+        {"GRID 4 0 2 16", false},
+        {"GRID 4 4 1 16", false},
+        {"GRID 4 4 0 16", false},
+        {"GRID 4 4 -2 16", false},
+        {"GRID 4 4 2 -1", false},
+        // Ids that would overflow int.
+        {"GRID 100000 100000 6 16", false},
+        {"GRID 2000000000 2 2 1", false},
+        {"GRID 46341 46341 2 1", false},
+        {"GRID 30000 30000 2 1", false},
+        {"GRID 2 2000000000 2 1", false},
+        {"GRID 8 8 2147483647 1", false},
+        // Truncations.
+        {"GRID", false},
+        {"GRID 8", false},
+        {"GRID 8 8", false},
+        {"GRID 8 8 2", false},
+        // Non-numeric and out-of-range fields.
+        {"GRID x 8 2 4", false},
+        {"GRID 8 8 two 4", false},
+        {"GRID 2147483648 8 2 4", false},
+        {"GRID 8 99999999999999999999 2 4", false},
+        {"GRID 8 8 -2147483649 4", false},
+    };
+    for (const Case& c : cases) {
+        EXPECT_EQ(readGridOutcome(c.line), c.ok ? "ok" : "invalid-input")
+            << c.line;
+    }
+}
+
+TEST(DesignIo, GridFieldExtremesAreOkOrInvalidInput) {
+    // Every numeric extreme in every GRID field: the reader either builds
+    // the design or rejects it as invalid input, never anything else.
+    const char* extremes[] = {"-2147483648", "-2147483649", "-1", "0", "1",
+                              "2", "3", "65535", "65536", "2147483647",
+                              "2147483648", "4294967296", "-0", "+2"};
+    const std::string base[] = {"8", "8", "2", "4"};
+    for (size_t field = 0; field < 4; ++field) {
+        for (const char* value : extremes) {
+            std::string line = "GRID";
+            for (size_t k = 0; k < 4; ++k) {
+                line += ' ';
+                line += k == field ? std::string(value) : base[k];
+            }
+            const std::string outcome = readGridOutcome(line);
+            EXPECT_TRUE(outcome == "ok" || outcome == "invalid-input")
+                << line << ": " << outcome;
+        }
+    }
+}
+
 TEST(DesignIo, MissingFileIsInvalidInput) {
     try {
         (void)readDesignFile("/nonexistent/design.streak");

@@ -5,7 +5,8 @@
 #   2. clang-tidy curated ruleset   (skipped when clang-tidy is absent)
 #   3. -Werror build                (CMake preset `werror`)
 #   4. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
-#                                    clustering_equivalence_test)
+#                                    clustering_equivalence_test +
+#                                    candidate_equivalence_test)
 #   5. ThreadSanitizer              (preset `tsan`, thread pool +
 #                                    determinism tests)
 #   6. observability exports        (route a generated design with
@@ -77,9 +78,12 @@ else
     # Smoke: the end-to-end flow exercises every stage (and, with
     # STREAK_CHECKS=deep baked into the preset, every stage auditor).
     # The clustering oracle suite checks the pair heap's index
-    # bookkeeping (cluster ids, candidate ids, ratio memo) under ASan.
+    # bookkeeping (cluster ids, candidate ids, ratio memo) under ASan;
+    # the candidate oracle suite checks the shared shapes and the
+    # layer-offset edge ids of the candidate build.
     ./build-asan/tests/flow_test
     ./build-asan/tests/clustering_equivalence_test
+    ./build-asan/tests/candidate_equivalence_test
 fi
 
 echo "== [5/11] ThreadSanitizer =="

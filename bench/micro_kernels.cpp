@@ -8,8 +8,8 @@
 //                                  kernels, including before/after pairs
 //                                  for the maze search (Dijkstra full
 //                                  grid vs A* + bounding window) and the
-//                                  simplex (legacy explicit-bound rows vs
-//                                  bounded-variable, cold vs warm basis).
+//                                  simplex (the explicit-bound-row test
+//                                  oracle vs the bounded-variable engine).
 //
 //   micro_kernels --report         counter harness: runs the shrunk
 //                                  synth1-7 flows in before/after kernel
@@ -18,9 +18,13 @@
 //                                  unchanged, and writes the pops /
 //                                  pivots / wall-time deltas to
 //                                  BENCH_streak.json (STREAK_BENCH_JSON
-//                                  overrides the path). check.sh runs
-//                                  this and validates the output with
-//                                  report_check --bench.
+//                                  overrides the path). The simplex
+//                                  kernel's before sides are frozen: they
+//                                  are copied from the committed
+//                                  BENCH_streak.json, since the legacy
+//                                  engine no longer runs inside the flow.
+//                                  check.sh runs this and validates the
+//                                  output with report_check --bench.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -29,10 +33,12 @@
 #include <fstream>
 #include <iostream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "lp_oracle.hpp"
 #include "core/identify.hpp"
 #include "core/regularity.hpp"
 #include "core/similarity.hpp"
@@ -185,42 +191,16 @@ ilp::Model selectionLp(int groups, int candsPerGroup) {
 }
 
 /// Before/after pair for the simplex kernel: Arg(0) = legacy explicit
-/// upper-bound rows, Arg(1) = bounded-variable tableau (cold), Arg(2) =
-/// bounded-variable warm-started from the previous optimal basis with
-/// one variable's bounds tightened (the branch-and-bound child pattern).
+/// upper-bound rows (the test oracle), Arg(1) = bounded-variable tableau.
 void BM_SimplexKernel(benchmark::State& state) {
-    const long mode = state.range(0);
+    const bool bounded = state.range(0) != 0;
     const ilp::Model m = selectionLp(8, 4);
-    ilp::LpBasis basis;
-    if (mode == 2) {
-        ilp::LpOptions opts;
-        opts.basisOut = &basis;
-        const ilp::Solution parent = solveLp(m, opts);
-        if (parent.status != ilp::SolveStatus::Optimal || basis.empty()) {
-            state.SkipWithError("parent LP did not produce a basis");
-            return;
-        }
-    }
-    // The warm "child": fix the first variable to 0, as branching does.
-    ilp::Model child;
-    for (int v = 0; v < m.numVariables(); ++v) {
-        child.addVariable(m.objectiveCoeff(v), false, m.lower(v),
-                          v == 0 ? 0.0 : m.upper(v));
-    }
-    for (const ilp::Row& r : m.rows()) child.addRow(r);
     for (auto _ : state) {
-        if (mode == 0) {
-            benchmark::DoNotOptimize(solveLpLegacy(m));
-        } else if (mode == 1) {
-            benchmark::DoNotOptimize(solveLp(m));
-        } else {
-            ilp::LpOptions opts;
-            opts.warmBasis = &basis;
-            benchmark::DoNotOptimize(solveLp(child, opts));
-        }
+        benchmark::DoNotOptimize(bounded ? solveLp(m)
+                                         : testoracle::solveLpLegacy(m));
     }
 }
-BENCHMARK(BM_SimplexKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimplexKernel)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // --report mode: before/after counter harness over the shrunk synth suite.
@@ -314,13 +294,11 @@ struct IlpRun {
     explicit IlpRun(const grid::RoutingGrid& g) : result(g) {}
 };
 
-IlpRun runIlpFlow(const Design& design, ilp::LpEngine engine, bool warm) {
+IlpRun runIlpFlow(const Design& design) {
     IlpRun run(design.grid);
     StreakOptions opts = bench::baseOptions();
     opts.solver = SolverKind::Ilp;
     opts.ilpTimeLimitSeconds = 10.0;
-    opts.lpEngine = engine;
-    opts.lpWarmStart = warm;
     opts.observer = bench::observeNothing;  // turn on per-run counters
     run.result = runStreak(design, opts).value();
     run.solveSeconds = run.result.solveSeconds();
@@ -334,7 +312,6 @@ obs::json::Object ilpSide(const IlpRun& run, const std::string& variant) {
     obs::json::Object counters;
     for (const char* name :
          {"ilp/lp.solves", "ilp/lp.pivots", "ilp/lp.bound_flips",
-          "ilp/lp.warm_starts", "ilp/lp.warm_fallbacks",
           "ilp/bnb.nodes_explored"}) {
         counters.set(name, counterOf(run.result.counters, name));
     }
@@ -355,7 +332,49 @@ double dropPercent(long long before, long long after) {
            static_cast<double>(before);
 }
 
+/// The committed report's frozen simplex "before" side for a design:
+/// the legacy explicit-bound-row engine's counters and solution, measured
+/// when it still ran inside the flow.
+const obs::json::Value* frozenLpBefore(const obs::json::Value& baseline,
+                                       const std::string& design) {
+    const obs::json::Value* kernels = baseline.find("kernels");
+    if (kernels == nullptr || kernels->kind() != obs::json::Kind::Array) {
+        return nullptr;
+    }
+    for (const obs::json::Value& entry : kernels->asArray()) {
+        const obs::json::Value* kernel = entry.find("kernel");
+        const obs::json::Value* name = entry.find("design");
+        if (kernel != nullptr && name != nullptr &&
+            kernel->asString() == "ilp/lp" && name->asString() == design) {
+            return entry.find("before");
+        }
+    }
+    return nullptr;
+}
+
+double numberAt(const obs::json::Value& side, const char* section,
+                const char* key) {
+    const obs::json::Value* obj = side.find(section);
+    const obs::json::Value* v = obj != nullptr ? obj->find(key) : nullptr;
+    return v != nullptr ? v->asNumber() : 0.0;
+}
+
 int runReport() {
+    const std::string baselinePath = STREAK_BENCH_BASELINE;
+    obs::json::Value baseline;
+    {
+        std::ifstream in(baselinePath);
+        std::stringstream text;
+        text << in.rdbuf();
+        std::string error;
+        baseline = obs::json::parse(text.str(), &error);
+        if (!in || baseline.isNull()) {
+            reportFail("cannot read the frozen baseline " + baselinePath +
+                       (error.empty() ? "" : ": " + error));
+            return 1;
+        }
+    }
+
     obs::json::Array kernels;
     long long mazePopsBefore = 0;
     long long mazePopsAfter = 0;
@@ -388,32 +407,36 @@ int runReport() {
         maze.set("popsDropPercent", dropPercent(popsB, popsA));
         kernels.push_back(obs::json::Value(std::move(maze)));
 
-        // Simplex kernel: the ILP flow end-to-end, legacy engine vs
-        // bounded-variable + warm starts. Same branch-and-bound, same
-        // relaxation optima, so the selection objective must match.
-        const IlpRun legacy = runIlpFlow(design, ilp::LpEngine::Legacy,
-                                         /*warm=*/false);
-        const IlpRun bounded = runIlpFlow(design, ilp::LpEngine::Bounded,
-                                          /*warm=*/true);
-        if (legacy.result.hitTimeLimit || bounded.result.hitTimeLimit) {
+        // Simplex kernel: the ILP flow end-to-end on the bounded engine
+        // against the frozen legacy-engine side. Same branch-and-bound,
+        // same relaxation optima, so the selection objective must match.
+        const obs::json::Value* legacy = frozenLpBefore(baseline, spec.name);
+        if (legacy == nullptr) {
+            reportFail(spec.name + ": no frozen ilp/lp before side in " +
+                       baselinePath);
+            continue;
+        }
+        const IlpRun bounded = runIlpFlow(design);
+        if (bounded.result.hitTimeLimit) {
             reportFail(spec.name + ": ILP hit the time limit; shrink more");
         }
-        if (std::abs(legacy.result.solverSolution.objective -
+        const double legacyObjective =
+            numberAt(*legacy, "solution", "objective");
+        if (std::abs(legacyObjective -
                      bounded.result.solverSolution.objective) > 1e-6) {
             reportFail(spec.name + ": ILP objectives differ (legacy " +
-                       std::to_string(legacy.result.solverSolution.objective) +
-                       " vs bounded " +
+                       std::to_string(legacyObjective) + " vs bounded " +
                        std::to_string(bounded.result.solverSolution.objective) +
                        ")");
         }
-        if (legacy.result.metrics.routability !=
+        if (numberAt(*legacy, "solution", "routability") !=
                 bounded.result.metrics.routability ||
-            legacy.result.metrics.wirelength !=
-                bounded.result.metrics.wirelength) {
+            numberAt(*legacy, "solution", "wirelength") !=
+                static_cast<double>(bounded.result.metrics.wirelength)) {
             reportFail(spec.name + ": ILP routed solutions differ");
         }
-        const long long pivB =
-            counterOf(legacy.result.counters, "ilp/lp.pivots");
+        const auto pivB = static_cast<long long>(
+            numberAt(*legacy, "counters", "ilp/lp.pivots"));
         const long long pivA =
             counterOf(bounded.result.counters, "ilp/lp.pivots");
         lpPivotsBefore += pivB;
@@ -421,8 +444,8 @@ int runReport() {
         obs::json::Object lp;
         lp.set("kernel", "ilp/lp");
         lp.set("design", spec.name);
-        lp.set("before", ilpSide(legacy, "legacy-bound-rows"));
-        lp.set("after", ilpSide(bounded, "bounded-warm"));
+        lp.set("before", *legacy);
+        lp.set("after", ilpSide(bounded, "bounded"));
         lp.set("pivotsDropPercent", dropPercent(pivB, pivA));
         kernels.push_back(obs::json::Value(std::move(lp)));
 

@@ -166,8 +166,8 @@ std::vector<SweepConfig> builtinConfigs() {
     pdNoPost.options.postOptimize = false;
 
     // Mirrors the kernel bench's after side (micro_kernels' runIlpFlow):
-    // same solver, time cap, engine and warm start, so this config's
-    // counters and quality diff cleanly against BENCH_streak.json.
+    // same solver and time cap, so this config's counters and quality
+    // diff cleanly against BENCH_streak.json.
     SweepConfig ilp;
     ilp.name = "ilp";
     ilp.options.solver = SolverKind::Ilp;

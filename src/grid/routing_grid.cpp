@@ -1,5 +1,6 @@
 #include "grid/routing_grid.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace streak::grid {
@@ -53,9 +54,10 @@ void RoutingGrid::addViaBlockage(const geom::Rect& area,
         throw std::logic_error(
             "addViaBlockage: enable the via model with setViaCapacity first");
     }
-    for (int y = area.lo.y; y <= area.hi.y; ++y) {
-        for (int x = area.lo.x; x <= area.hi.x; ++x) {
-            if (x < 0 || x >= width_ || y < 0 || y >= height_) continue;
+    for (int y = std::max(area.lo.y, 0); y <= std::min(area.hi.y, height_ - 1);
+         ++y) {
+        for (int x = std::max(area.lo.x, 0);
+             x <= std::min(area.hi.x, width_ - 1); ++x) {
             int& cap = viaCapacity_[static_cast<size_t>(cellIndex(x, y))];
             if (cap > remainingCapacity) cap = remainingCapacity;
         }
@@ -64,8 +66,12 @@ void RoutingGrid::addViaBlockage(const geom::Rect& area,
 
 void RoutingGrid::addBlockage(const geom::Rect& area, int layer,
                               int remainingCapacity) {
-    for (int y = area.lo.y; y <= area.hi.y; ++y) {
-        for (int x = area.lo.x; x <= area.hi.x; ++x) {
+    // Clipped to the grid first: an unclipped loop would spin over a
+    // huge rectangle and overflow at INT_MAX.
+    for (int y = std::max(area.lo.y, 0); y <= std::min(area.hi.y, height_ - 1);
+         ++y) {
+        for (int x = std::max(area.lo.x, 0);
+             x <= std::min(area.hi.x, width_ - 1); ++x) {
             if (validEdge(layer, x, y)) {
                 const int e = edgeId(layer, x, y);
                 if (capacity_[e] > remainingCapacity) {
@@ -82,8 +88,10 @@ void RoutingGrid::removeBlockage(const geom::Rect& area, int layer) {
 
 void RoutingGrid::resizeCapacity(const geom::Rect& area, int layer,
                                  int capacity) {
-    for (int y = area.lo.y; y <= area.hi.y; ++y) {
-        for (int x = area.lo.x; x <= area.hi.x; ++x) {
+    for (int y = std::max(area.lo.y, 0); y <= std::min(area.hi.y, height_ - 1);
+         ++y) {
+        for (int x = std::max(area.lo.x, 0);
+             x <= std::min(area.hi.x, width_ - 1); ++x) {
             if (validEdge(layer, x, y)) {
                 capacity_[edgeId(layer, x, y)] = capacity;
             }

@@ -39,6 +39,70 @@ int columnOf(std::istringstream& ss, const std::string& line) {
     return static_cast<int>(pos) + 1;
 }
 
+/// 1-based column where whitespace-separated field `index` of a line
+/// starts (field 0 is the record keyword). Only computed to report.
+int fieldColumn(const std::string& line, int index) {
+    constexpr const char* kSpace = " \t\r\v\f";
+    size_t pos = line.find_first_not_of(kSpace);
+    for (int k = 0; k < index && pos != std::string::npos; ++k) {
+        pos = line.find_first_not_of(kSpace, line.find_first_of(kSpace, pos));
+    }
+    return pos == std::string::npos ? static_cast<int>(line.size()) + 1
+                                    : static_cast<int>(pos) + 1;
+}
+
+/// Grid checks for the records that follow GRID: the rules ECO rectangle
+/// deltas follow (layer in range, both corners inside, lo <= hi,
+/// remaining capacity >= 0), plus pins inside the grid. A failure points
+/// at the offending field of the current line.
+struct RecordCheck {
+    const std::string& line;
+    int lineNo;
+    int width;
+    int height;
+    int layers;
+
+    [[noreturn]] void failAt(const std::string& what, int field) const {
+        fail(what, lineNo, fieldColumn(line, field));
+    }
+    [[nodiscard]] bool contains(geom::Point p) const {
+        return p.x >= 0 && p.x < width && p.y >= 0 && p.y < height;
+    }
+    [[noreturn]] void outside(const std::string& what, geom::Point p,
+                              int field) const {
+        failAt(what + " (" + std::to_string(p.x) + ", " +
+                   std::to_string(p.y) + ") is outside the " +
+                   std::to_string(width) + " x " + std::to_string(height) +
+                   " grid",
+               field);
+    }
+    void pin(geom::Point p) const {
+        if (!contains(p)) outside("PIN", p, 1);
+    }
+    /// A rectangle in fields 1-4 (lo x, lo y, hi x, hi y).
+    void rect(const char* record, const geom::Rect& r) const {
+        if (!contains(r.lo)) outside(record + std::string(" corner"), r.lo, 1);
+        if (!contains(r.hi)) outside(record + std::string(" corner"), r.hi, 3);
+        if (r.lo.x > r.hi.x || r.lo.y > r.hi.y) {
+            failAt(record + std::string(" is empty: lo corner exceeds hi"), 1);
+        }
+    }
+    void layer(const char* record, int l, int field) const {
+        if (l < 0 || l >= layers) {
+            failAt(record + std::string(" layer ") + std::to_string(l) +
+                       " is outside 0.." + std::to_string(layers - 1),
+                   field);
+        }
+    }
+    void capacity(const char* record, int cap, int field) const {
+        if (cap < 0) {
+            failAt(record + std::string(" capacity must be at least 0, got ") +
+                       std::to_string(cap),
+                   field);
+        }
+    }
+};
+
 /// Parse and validate the fields of a GRID record. Each field must meet
 /// its minimum (a 2x2 grid, two layers, non-negative capacity), and every
 /// 3-D cell plus every edge id must be addressable by an int, so that
@@ -199,7 +263,13 @@ Design readDesign(std::istream& is) {
         std::istringstream ss(line);
         std::string kind;
         ss >> kind;
+        // Records checked against the grid must follow its one GRID line.
+        const bool needsGrid =
+            kind == "BLOCKAGE" || kind == "VIABLOCKAGE" || kind == "PIN";
+        if (needsGrid && !haveGrid) fail(kind + " before GRID", lineNo, 1);
+        const RecordCheck check{line, lineNo, width, height, layers};
         if (kind == "GRID") {
+            if (haveGrid) fail("duplicate GRID", lineNo, 1);
             readGrid(ss, line, lineNo, &width, &height, &layers, &cap);
             haveGrid = true;
         } else if (kind == "BLOCKAGE") {
@@ -207,15 +277,21 @@ Design readDesign(std::istream& is) {
             ss >> b.rect.lo.x >> b.rect.lo.y >> b.rect.hi.x >> b.rect.hi.y >>
                 b.layer >> b.remaining;
             if (!ss) fail("bad BLOCKAGE line", lineNo, columnOf(ss, line));
+            check.rect("BLOCKAGE", b.rect);
+            check.layer("BLOCKAGE", b.layer, 5);
+            check.capacity("BLOCKAGE", b.remaining, 6);
             blockages.push_back(b);
         } else if (kind == "VIACAP") {
             ss >> viaCap;
             if (!ss) fail("bad VIACAP line", lineNo, columnOf(ss, line));
+            check.capacity("VIACAP", viaCap, 1);
         } else if (kind == "VIABLOCKAGE") {
             ViaBlockage b{};
             ss >> b.rect.lo.x >> b.rect.lo.y >> b.rect.hi.x >> b.rect.hi.y >>
                 b.remaining;
             if (!ss) fail("bad VIABLOCKAGE line", lineNo, columnOf(ss, line));
+            check.rect("VIABLOCKAGE", b.rect);
+            check.capacity("VIABLOCKAGE", b.remaining, 5);
             viaBlockages.push_back(b);
         } else if (kind == "GROUP") {
             PendingGroup g;
@@ -237,6 +313,7 @@ Design readDesign(std::istream& is) {
             geom::Point p{};
             ss >> p.x >> p.y;
             if (!ss) fail("bad PIN line", lineNo, columnOf(ss, line));
+            check.pin(p);
             groups.back().bits.back().pins.push_back(p);
         } else {
             fail("unknown record: " + kind, lineNo, 1);

@@ -34,7 +34,7 @@
 // differ.
 //
 // This module is also the project's one sanctioned home (with
-// src/parallel) for raw std::chrono timing — tools/streak_lint rejects
+// src/parallel) for raw std::chrono timing — streak_analyze rejects
 // steady_clock use anywhere else; time code through obs::Stopwatch.
 #pragma once
 

@@ -1,11 +1,10 @@
 // Degradation-ladder policy (DESIGN.md "Robustness").
 //
 // The flow's graceful-degradation ladder formalizes the fallbacks that
-// used to be ad-hoc (A* window -> full grid, warm -> cold basis, ILP
-// timeout -> PD result): when a stage throws a *recoverable*
-// StreakError — deadline share expired, injected fault — the flow falls
-// back to the cheaper engine or the last valid partial solution instead
-// of failing the run. Each rung taken records a `robust/degraded.<rung>`
+// used to be ad-hoc (A* window -> full grid, ILP timeout -> PD result):
+// when a stage throws a *recoverable* StreakError — deadline share
+// expired, injected fault — the flow falls back to the cheaper engine or
+// the last valid partial solution instead of failing the run. Each rung taken records a `robust/degraded.<rung>`
 // counter, a span event, and a Degradation entry in the StreakResult so
 // run reports show exactly what degraded. Degraded output still passes
 // the deep auditors (auditSolution / auditRoutedDesign).

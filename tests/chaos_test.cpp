@@ -1,4 +1,4 @@
-// Chaos suite (DESIGN.md "Robustness", check.sh stage 9): sweep every
+// Chaos suite (DESIGN.md "Robustness", check.sh stage 8): sweep every
 // cataloged fault site across the shrunk synth suites with a seeded
 // fault schedule and assert the flow's fault-tolerance contract — every
 // run either returns an audited-clean solution (possibly degraded) or a

@@ -1,5 +1,5 @@
 // Differential equivalence harness for incremental ECO re-routing
-// (DESIGN.md "Incremental ECO", check.sh stage 10).
+// (DESIGN.md "Incremental ECO", check.sh stage 9).
 //
 // The headline property: for every delta kind, over the shrunk synth
 // suites, at thread counts 1/2/8, an incremental re-route of the

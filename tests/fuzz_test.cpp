@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowFuzz, ::testing::Range(1u, 13u));
 // The ECO checkpoint reader's contract (eco/checkpoint.hpp): any
 // malformed buffer — truncated, bit-flipped, version-skewed, garbage —
 // produces a structured robust::StreakError, never a crash or UB.
-// check.sh stage 10 reruns this block under ASan/UBSan.
+// check.sh stage 9 reruns this block under ASan/UBSan.
 
 /// A deliberately tiny routed checkpoint so exhaustive per-byte fuzzing
 /// stays cheap; built once per process.
@@ -203,13 +203,11 @@ TEST(CheckpointFuzz, EveryBitFlipIsRejectedStructurally) {
     }
 }
 
-TEST(CheckpointFuzz, VersionSkewIsRejectedEvenWithAValidChecksum) {
-    // Patch the u32 format version (offset 8, little-endian) and repair
-    // the trailing FNV-1a so the rejection is the version check itself,
-    // not a checksum side effect.
-    std::string buf = tinyCheckpointBuffer();
-    ASSERT_GT(buf.size(), 16u);
-    buf[8] = static_cast<char>(eco::kCheckpointVersion + 1);
+/// The buffer with its u32 format version (offset 8, little-endian)
+/// patched and the trailing FNV-1a repaired, so a rejection is the
+/// version check itself, not a checksum side effect.
+std::string withVersion(std::string buf, int version) {
+    buf[8] = static_cast<char>(version);
     std::uint64_t h = 14695981039346656037ull;
     for (size_t i = 0; i + 8 < buf.size(); ++i) {
         h ^= static_cast<unsigned char>(buf[i]);
@@ -219,7 +217,28 @@ TEST(CheckpointFuzz, VersionSkewIsRejectedEvenWithAValidChecksum) {
         buf[buf.size() - 8 + static_cast<size_t>(i)] =
             static_cast<char>((h >> (8 * i)) & 0xffu);
     }
-    EXPECT_TRUE(rejectsStructurally(buf));
+    return buf;
+}
+
+TEST(CheckpointFuzz, VersionSkewIsRejectedEvenWithAValidChecksum) {
+    ASSERT_GT(tinyCheckpointBuffer().size(), 16u);
+    EXPECT_TRUE(rejectsStructurally(
+        withVersion(tinyCheckpointBuffer(), eco::kCheckpointVersion + 1)));
+}
+
+TEST(CheckpointFuzz, VersionOneFilesAreUnsupported) {
+    // Version 1 still carried the LP engine and warm-start options; the
+    // reader refuses it by version rather than misreading its options.
+    ASSERT_EQ(eco::kCheckpointVersion, 2);
+    try {
+        (void)eco::readCheckpointBuffer(withVersion(tinyCheckpointBuffer(), 1));
+        FAIL() << "a version-1 checkpoint parsed";
+    } catch (const robust::StreakException& e) {
+        EXPECT_EQ(e.error().kind, robust::ErrorKind::InvalidInput);
+        EXPECT_NE(e.error().message.find("unsupported checkpoint version 1"),
+                  std::string::npos)
+            << e.error().message;
+    }
 }
 
 TEST(CheckpointFuzz, GarbageBuffersAreRejectedStructurally) {

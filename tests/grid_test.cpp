@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 namespace streak::grid {
@@ -63,6 +64,23 @@ TEST(RoutingGrid, BlockageNeverRaisesCapacity) {
     RoutingGrid g(8, 8, 2, 3);
     g.addBlockage({{0, 0}, {7, 7}}, 0, 5);
     EXPECT_EQ(g.capacity(g.edgeId(0, 1, 1)), 3);
+}
+
+TEST(RoutingGrid, RectanglesBeyondTheGridAreClipped) {
+    // Corners at the int extremes must neither spin through billions of
+    // off-grid cells nor overflow the loop counter at INT_MAX.
+    constexpr int kMax = std::numeric_limits<int>::max();
+    constexpr int kMin = std::numeric_limits<int>::min();
+    const geom::Rect huge{{kMin, kMin}, {kMax, kMax}};
+    RoutingGrid g(8, 8, 2, 10);
+    g.addBlockage(huge, 0, 1);
+    g.resizeCapacity(huge, 1, 4);
+    g.setViaCapacity(6);
+    g.addViaBlockage(huge, 2);
+    for (int e = 0; e < g.numEdges(); ++e) {
+        EXPECT_EQ(g.capacity(e), g.edgeCoord(e).layer == 0 ? 1 : 4);
+    }
+    for (int c = 0; c < g.numCells(); ++c) EXPECT_EQ(g.viaCapacity(c), 2);
 }
 
 TEST(RoutingGrid, EdgesOnSegment) {

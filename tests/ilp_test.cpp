@@ -2,12 +2,58 @@
 
 #include <gtest/gtest.h>
 
-#include "ilp/lp.hpp"
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 namespace streak::ilp {
 namespace {
 
 constexpr double kTol = 1e-6;
+
+/// Brute-force optimum of a small 0/1 model: every assignment of the
+/// integer variables to {0, 1}, with each continuous variable at the
+/// bound its cost prefers (upper when the cost is negative, else lower).
+/// Only exact for models whose rows never push a continuous variable
+/// away from that bound. Returns +inf when no assignment is feasible.
+double exhaustiveOptimum(const Model& m) {
+    std::vector<int> binaries;
+    std::vector<double> x(static_cast<size_t>(m.numVariables()), 0.0);
+    for (int v = 0; v < m.numVariables(); ++v) {
+        if (m.isInteger(v)) {
+            binaries.push_back(v);
+        } else {
+            x[static_cast<size_t>(v)] =
+                m.objectiveCoeff(v) < 0.0 ? m.upper(v) : m.lower(v);
+        }
+    }
+    double best = kInfinity;
+    for (long mask = 0; mask < (1L << binaries.size()); ++mask) {
+        for (size_t i = 0; i < binaries.size(); ++i) {
+            x[static_cast<size_t>(binaries[i])] =
+                static_cast<double>((mask >> i) & 1L);
+        }
+        bool feasible = true;
+        for (const Row& r : m.rows()) {
+            double lhs = 0.0;
+            for (const auto& [v, coef] : r.coeffs) {
+                lhs += coef * x[static_cast<size_t>(v)];
+            }
+            feasible = feasible && (r.sense == Sense::LessEqual
+                                        ? lhs <= r.rhs + kTol
+                                        : r.sense == Sense::GreaterEqual
+                                              ? lhs >= r.rhs - kTol
+                                              : std::abs(lhs - r.rhs) <= kTol);
+        }
+        if (!feasible) continue;
+        double obj = m.objectiveConstant;
+        for (int v = 0; v < m.numVariables(); ++v) {
+            obj += m.objectiveCoeff(v) * x[static_cast<size_t>(v)];
+        }
+        best = std::min(best, obj);
+    }
+    return best;
+}
 
 TEST(SolveIlp, BinaryKnapsack) {
     // max 10a + 6b + 4c s.t. a+b+c <= 2 -> min form.
@@ -127,29 +173,20 @@ TEST(SolveIlp, OptimalMatchesExhaustiveOnSmallInstance) {
     }
     m.addRow(std::move(knap), Sense::LessEqual, 4.0);
 
-    double best = 0.0;
-    for (int mask = 0; mask < 16; ++mask) {
-        double c = 0.0, w = 0.0;
-        for (int i = 0; i < 4; ++i) {
-            if (mask & (1 << i)) {
-                c += cost[i];
-                w += weight[i];
-            }
-        }
-        if (w <= 4.0) best = std::min(best, c);
-    }
     const Solution s = solveIlp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_NEAR(s.objective, best, kTol);
+    EXPECT_NEAR(s.objective, exhaustiveOptimum(m), kTol);
 }
 
 // ---------------------------------------------------------------------------
-// Engine / warm-start equivalence at the branch-and-bound level
+// Branch-and-bound vs exhaustive enumeration on Streak-shaped models
 // ---------------------------------------------------------------------------
 
 /// Streak-shaped selection model: groups of binary candidates, shared
 /// capacities, and a pair-linearization term — the structure the ILP
-/// router emits per component.
+/// router emits per component. The one continuous `y` costs -2 and its
+/// row only bounds it from below, so every optimum has it at its upper
+/// bound 1 (what exhaustiveOptimum assumes).
 Model selectionModel(int groups, int seedOffset) {
     Model m;
     std::vector<int> vars;
@@ -180,27 +217,19 @@ Model selectionModel(int groups, int seedOffset) {
     return m;
 }
 
+// Historical name: checks every solve against brute force (at most 15
+// binaries).
 TEST(SolveIlp, WarmStartAndEngineChoicesAgreeOnObjective) {
     for (int trial = 0; trial < 6; ++trial) {
         const Model m = selectionModel(2 + trial % 4, trial);
-
-        BnbOptions warm;  // defaults: Bounded engine, warm starts on
-        BnbOptions cold = warm;
-        cold.lpWarmStart = false;
-        BnbOptions legacy = warm;
-        legacy.lpEngine = LpEngine::Legacy;
-
-        const Solution a = solveIlp(m, warm);
-        const Solution b = solveIlp(m, cold);
-        const Solution c = solveIlp(m, legacy);
-        ASSERT_EQ(a.status, SolveStatus::Optimal) << "trial " << trial;
-        ASSERT_EQ(b.status, SolveStatus::Optimal) << "trial " << trial;
-        ASSERT_EQ(c.status, SolveStatus::Optimal) << "trial " << trial;
-        EXPECT_NEAR(a.objective, b.objective, kTol) << "trial " << trial;
-        EXPECT_NEAR(a.objective, c.objective, kTol) << "trial " << trial;
+        const Solution s = solveIlp(m);
+        ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
+        EXPECT_NEAR(s.objective, exhaustiveOptimum(m), kTol)
+            << "trial " << trial;
     }
 }
 
+// Historical name: the infeasibility proof, cross-checked by brute force.
 TEST(SolveIlp, WarmStartPreservesInfeasibilityProof) {
     Model m;
     const int x = m.addVariable(1.0, true);
@@ -208,11 +237,8 @@ TEST(SolveIlp, WarmStartPreservesInfeasibilityProof) {
     m.addRow({{x, 1.0}, {y, 1.0}}, Sense::Equal, 1.0);
     m.addRow({{x, 1.0}, {y, -1.0}}, Sense::GreaterEqual, 0.5);
     m.addRow({{y, 1.0}, {x, -1.0}}, Sense::GreaterEqual, 0.5);
-    BnbOptions warm;
-    BnbOptions legacy;
-    legacy.lpEngine = LpEngine::Legacy;
-    EXPECT_EQ(solveIlp(m, warm).status, SolveStatus::Infeasible);
-    EXPECT_EQ(solveIlp(m, legacy).status, SolveStatus::Infeasible);
+    EXPECT_EQ(solveIlp(m).status, SolveStatus::Infeasible);
+    EXPECT_EQ(exhaustiveOptimum(m), kInfinity);
 }
 
 }  // namespace

@@ -197,10 +197,79 @@ TEST(DesignIo, GridHeaderFieldTable) {
         {"GRID 2147483648 8 2 4", false},
         {"GRID 8 99999999999999999999 2 4", false},
         {"GRID 8 8 -2147483649 4", false},
+        // Grid-checked records before the GRID line.
+        {"BLOCKAGE 0 0 1 1 0 1\nGRID 8 8 2 4", false},
+        {"PIN 1 1\nGRID 8 8 2 4", false},
     };
     for (const Case& c : cases) {
         EXPECT_EQ(readGridOutcome(c.line), c.ok ? "ok" : "invalid-input")
             << c.line;
+    }
+}
+
+/// Outcome of reading `records` after "STREAK 1" / "GRID 8 8 2 4": "ok",
+/// "invalid-input at line N", or a description of any other failure.
+std::string readRecordsOutcome(const std::string& records) {
+    std::stringstream ss("STREAK 1\nGRID 8 8 2 4\n" + records + "\n");
+    try {
+        (void)readDesign(ss);
+        return "ok";
+    } catch (const robust::StreakException& e) {
+        if (e.error().kind != robust::ErrorKind::InvalidInput) {
+            return "wrong kind: " + std::string(e.what());
+        }
+        const std::string what = e.what();
+        const size_t at = what.find("(line ");
+        if (at == std::string::npos ||
+            what.find(", column ", at) == std::string::npos) {
+            return "no line/column: " + what;
+        }
+        return "invalid-input at line " +
+               std::to_string(std::stoi(what.substr(at + 6)));
+    } catch (const std::exception& e) {
+        return "escaped: " + std::string(e.what());
+    }
+}
+
+TEST(DesignIo, GridRecordFieldTable) {
+    // Blockage, via and pin records are held to the grid the GRID line
+    // declares: layer in range, lo <= hi, both corners inside, remaining
+    // capacity >= 0, VIACAP >= 0, pins inside. Line 3 is the first record.
+    const std::string pinBit = "GROUP g 1\nBIT b 2 0\nPIN 1 1\n";
+    struct Case {
+        std::string records;
+        const char* want;
+    };
+    const Case cases[] = {
+        {"BLOCKAGE 0 0 3 3 0 1", "ok"},
+        {"BLOCKAGE 7 7 7 7 1 0", "ok"},
+        {"VIACAP 0\nVIABLOCKAGE 0 0 7 7 0", "ok"},
+        {pinBit + "PIN 7 7", "ok"},
+        // Rectangles reaching far outside the grid (these used to spin
+        // in the blockage loop for seconds, or forever at INT_MAX).
+        {"BLOCKAGE 0 0 2000000000 2000000000 0 1", "invalid-input at line 3"},
+        {"VIACAP 2\nVIABLOCKAGE -2000000000 0 2000000000 3 1",
+         "invalid-input at line 4"},
+        {"BLOCKAGE -1 0 3 3 0 1", "invalid-input at line 3"},
+        {"BLOCKAGE 0 0 8 3 0 1", "invalid-input at line 3"},
+        // Empty rectangle, layer out of range, negative capacities.
+        {"BLOCKAGE 3 3 0 0 0 1", "invalid-input at line 3"},
+        {"BLOCKAGE 0 0 3 3 2 1", "invalid-input at line 3"},
+        {"BLOCKAGE 0 0 3 3 -1 1", "invalid-input at line 3"},
+        {"BLOCKAGE 0 0 3 3 0 -7", "invalid-input at line 3"},
+        {"VIACAP -1", "invalid-input at line 3"},
+        {"VIACAP 2\nVIABLOCKAGE 0 0 3 3 -1", "invalid-input at line 4"},
+        // Pins outside the grid.
+        {pinBit + "PIN 50 5", "invalid-input at line 6"},
+        {pinBit + "PIN 0 -1", "invalid-input at line 6"},
+        // A second GRID line.
+        {"GRID 4 4 2 4", "invalid-input at line 3"},
+        // Truncated records still report where they stop.
+        {"BLOCKAGE 0 0 3", "invalid-input at line 3"},
+        {"VIACAP", "invalid-input at line 3"},
+    };
+    for (const Case& c : cases) {
+        EXPECT_EQ(readRecordsOutcome(c.records), c.want) << c.records;
     }
 }
 

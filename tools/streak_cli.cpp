@@ -1,7 +1,8 @@
 // streak — command-line front end for the Streak router.
 //
 //   streak generate <suite 1-7|spec> <out.streak>   write a benchmark
-//   streak info     <design.streak>                 print design stats
+//   streak info     <design.streak>                 print design stats;
+//                                                   exit 3 on Error findings
 //   streak route    <design.streak> [options]       route and report
 //   streak eco      <ckpt.streakeco> [options]      incremental re-route
 //   streak campaign run  [options]                  sweep configs x suites
@@ -174,7 +175,10 @@ int cmdInfo(int argc, char** argv) {
                   << i.message << '\n';
     }
     if (issues.empty()) std::cout << "design is clean\n";
-    return isRoutable(issues) ? 0 : 1;
+    // A design with Error findings is invalid input, like a parse error.
+    return isRoutable(issues)
+               ? 0
+               : robust::exitCodeFor(robust::ErrorKind::InvalidInput);
 }
 
 int cmdRoute(int argc, char** argv) {

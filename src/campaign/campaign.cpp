@@ -96,6 +96,14 @@ void compareRecords(const RunRecord& base, const RunRecord& cur,
     }
 }
 
+/// Largest magnitude up to which every integer is a double: counters and
+/// metrics beyond it cannot have been written by a run.
+constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+
+bool integral(double x, double lo, double hi) {
+    return x >= lo && x <= hi && x == std::trunc(x);
+}
+
 /// Field access that records the first failure instead of throwing.
 struct Reader {
     std::string* error;
@@ -120,8 +128,20 @@ struct Reader {
         }
         return f->asNumber();
     }
-    long long integer(const json::Value& v, const char* key) {
-        return static_cast<long long>(std::llround(number(v, key)));
+    /// An integral number in [lo, hi]; anything else (fractions, values
+    /// a double cannot hold exactly, out-of-range) is a problem.
+    long long integer(const json::Value& v, const char* key,
+                      double lo = -kMaxExact, double hi = kMaxExact) {
+        const double x = number(v, key);
+        if (ok && !integral(x, lo, hi)) {
+            fail(std::string("field '") + key + "' is not an integer in range");
+        }
+        return ok ? static_cast<long long>(x) : 0;
+    }
+    int int32(const json::Value& v, const char* key) {
+        return static_cast<int>(integer(v, key,
+                                        std::numeric_limits<int>::min(),
+                                        std::numeric_limits<int>::max()));
     }
     std::string string(const json::Value& v, const char* key) {
         const json::Value* f = field(v, key);
@@ -165,18 +185,14 @@ std::vector<SweepConfig> builtinConfigs() {
     pdNoPost.options.solver = SolverKind::PrimalDual;
     pdNoPost.options.postOptimize = false;
 
-    // Mirrors the kernel bench's after side (micro_kernels' runIlpFlow):
-    // same solver and time cap, so this config's counters and quality
-    // diff cleanly against BENCH_streak.json.
+    // The exact solver with the kernel bench's time cap.
     SweepConfig ilp;
     ilp.name = "ilp";
     ilp.options.solver = SolverKind::Ilp;
     ilp.options.ilpTimeLimitSeconds = 10.0;
     ilp.options.postOptimize = false;
 
-    // The sequential maze baseline in the kernel bench's semantics
-    // (every bit through the search, no pattern-route shortcut), so its
-    // route/maze.* counters diff against the bench's maze kernel.
+    // The Table I manual-design baseline (route::routeSequential).
     SweepConfig manual;
     manual.name = "manual";
     manual.manualBaseline = true;
@@ -236,7 +252,7 @@ std::optional<RunRecord> recordFromJson(const json::Value& value,
         r.fail("schema mismatch: expected '" + std::string(kRunSchema) +
                "', got '" + schema + "'");
     }
-    const long long version = r.integer(value, "schemaVersion");
+    const int version = r.int32(value, "schemaVersion");
     if (r.ok && version != kRunSchemaVersion) {
         r.fail("schemaVersion mismatch: expected " +
                std::to_string(kRunSchemaVersion) + ", got " +
@@ -245,14 +261,13 @@ std::optional<RunRecord> recordFromJson(const json::Value& value,
     RunRecord record;
     record.config = r.string(value, "config");
     record.instance = r.string(value, "instance");
-    record.threads = static_cast<int>(r.integer(value, "threads"));
-    record.threadsUsed = static_cast<int>(r.integer(value, "threadsUsed"));
+    record.threads = r.int32(value, "threads");
+    record.threadsUsed = r.int32(value, "threadsUsed");
     if (const json::Value* prov = r.object(value, "provenance")) {
         record.problemHash = r.string(*prov, "problemHash");
         record.configHash = r.string(*prov, "configHash");
         record.hostname = r.string(*prov, "hostname");
-        record.hardwareThreads =
-            static_cast<int>(r.integer(*prov, "hardwareThreads"));
+        record.hardwareThreads = r.int32(*prov, "hardwareThreads");
     }
     record.wallSeconds = r.number(value, "wallSeconds");
     if (const json::Value* metrics = r.object(value, "metrics")) {
@@ -264,12 +279,12 @@ std::optional<RunRecord> recordFromJson(const json::Value& value,
     }
     if (const json::Value* counters = r.object(value, "counters")) {
         for (const auto& [name, v] : counters->asObject().items()) {
-            if (v.kind() != json::Kind::Number) {
-                r.fail("counter '" + name + "' is not a number");
+            if (v.kind() != json::Kind::Number ||
+                !integral(v.asNumber(), -kMaxExact, kMaxExact)) {
+                r.fail("counter '" + name + "' is not an integer in range");
                 break;
             }
-            record.counters[name] =
-                static_cast<long long>(std::llround(v.asNumber()));
+            record.counters[name] = static_cast<long long>(v.asNumber());
         }
     }
     if (!r.ok) return std::nullopt;
@@ -339,19 +354,18 @@ std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
                 record.hardwareThreads = host.hardwareThreads;
 
                 if (config.manualBaseline) {
-                    // The sequential maze baseline: single-threaded, no
-                    // flow options — every bit through the search (the
-                    // kernel bench's semantics), counters collected in a
-                    // fresh session bound for the run's duration.
+                    // The Table I baseline: single-threaded, no flow
+                    // options, counters collected in a fresh session
+                    // bound for the run's duration.
                     obs::Session session;
                     const obs::SessionBind bind(session);
                     obs::setDetailEnabled(true);
                     const obs::Stopwatch watch;
-                    const route::SequentialResult sr = route::routeSequential(
-                        design, route::MazeOptions{}, /*mazeOnly=*/true);
+                    const route::SequentialResult sr =
+                        route::routeSequential(design);
                     record.wallSeconds = watch.seconds();
                     record.threadsUsed = 1;
-                    record.configHash = fnv1aHex("manual-baseline/maze-only/1");
+                    record.configHash = fnv1aHex("manual-baseline/2");
                     record.routability = sr.routability();
                     record.wirelength = sr.wirelength;
                     record.vias = sr.viaCount;
@@ -437,123 +451,6 @@ DiffReport diffAgainstStore(const Store& baseline, const Store& current,
         }
         ++report.comparedRuns;
         compareRecords(b, cur, thresholds, &report);
-    }
-    return report;
-}
-
-DiffReport diffAgainstBench(const json::Value& bench, const Store& current,
-                            const DiffThresholds& thresholds) {
-    DiffReport report;
-    report.against = "bench";
-    const json::Value* schema = bench.find("schema");
-    if (schema == nullptr || schema->kind() != json::Kind::String ||
-        schema->asString() != "streak-kernel-bench") {
-        report.notes.push_back(
-            "baseline is not a streak-kernel-bench document; skipped");
-        return report;
-    }
-    // design -> a kernel's after side. The ilp/lp kernel is comparable
-    // to the "ilp" config; the route/maze kernel to "manual" (maze-only
-    // sequential). Fields below -1 are absent from the bench entry and
-    // skipped.
-    struct BenchSide {
-        double hotCounter = 0.0;  ///< pivots (lp) or pops (maze)
-        double wirelength = 0.0;
-        double vias = -1.0;
-        double totalOverflow = -1.0;
-        double routability = 0.0;
-    };
-    std::map<std::string, BenchSide> lpSides;
-    std::map<std::string, BenchSide> mazeSides;
-    const json::Value* kernels = bench.find("kernels");
-    if (kernels != nullptr && kernels->kind() == json::Kind::Array) {
-        for (const json::Value& entry : kernels->asArray()) {
-            const json::Value* kernel = entry.find("kernel");
-            const json::Value* design = entry.find("design");
-            const json::Value* after = entry.find("after");
-            if (kernel == nullptr || design == nullptr || after == nullptr) {
-                continue;
-            }
-            const bool lp = kernel->asString() == "ilp/lp";
-            const bool maze = kernel->asString() == "route/maze";
-            if (!lp && !maze) continue;
-            BenchSide side;
-            if (const json::Value* counters = after->find("counters")) {
-                if (const json::Value* hot = counters->find(
-                        lp ? "ilp/lp.pivots" : "route/maze.pops")) {
-                    side.hotCounter = hot->asNumber();
-                }
-            }
-            if (const json::Value* solution = after->find("solution")) {
-                if (const json::Value* wl = solution->find("wirelength")) {
-                    side.wirelength = wl->asNumber();
-                }
-                if (const json::Value* v = solution->find("vias")) {
-                    side.vias = v->asNumber();
-                }
-                if (const json::Value* of = solution->find("totalOverflow")) {
-                    side.totalOverflow = of->asNumber();
-                }
-                if (const json::Value* route = solution->find("routability")) {
-                    side.routability = route->asNumber();
-                } else if (const json::Value* routed =
-                               solution->find("routedBits")) {
-                    const json::Value* total = solution->find("totalBits");
-                    side.routability =
-                        total != nullptr && total->asNumber() > 0.0
-                            ? routed->asNumber() / total->asNumber()
-                            : 1.0;
-                }
-            }
-            (lp ? lpSides : mazeSides)[design->asString()] = side;
-        }
-    }
-    for (const RunRecord& cur : current.records) {
-        const bool ilpRun = cur.config == "ilp";
-        const bool manualRun = cur.config == "manual";
-        if (!ilpRun && !manualRun) continue;
-        const char* kernelName = ilpRun ? "ilp/lp" : "route/maze";
-        const std::map<std::string, BenchSide>& sides =
-            ilpRun ? lpSides : mazeSides;
-        const auto it = sides.find(cur.instance);
-        if (it == sides.end()) {
-            report.notes.push_back("bench baseline has no " +
-                                   std::string(kernelName) + " entry for " +
-                                   cur.instance);
-            continue;
-        }
-        const BenchSide& side = it->second;
-        ++report.comparedRuns;
-        const char* hotName = ilpRun ? "ilp/lp.pivots" : "route/maze.pops";
-        const auto hot = cur.counters.find(hotName);
-        if (hot != cur.counters.end()) {
-            flagGrowth(&report, cur, "counter", hotName, side.hotCounter,
-                       static_cast<double>(hot->second),
-                       thresholds.counterGrowth);
-        } else {
-            report.notes.push_back("record " + keyOf(cur) + " carries no " +
-                                   hotName + " counter");
-        }
-        flagGrowth(&report, cur, "quality", "wirelength", side.wirelength,
-                   static_cast<double>(cur.wirelength),
-                   thresholds.qualityGrowth);
-        if (side.vias >= 0.0) {
-            flagGrowth(&report, cur, "quality", "vias", side.vias,
-                       static_cast<double>(cur.vias),
-                       thresholds.qualityGrowth);
-        }
-        if (side.totalOverflow >= 0.0) {
-            flagGrowth(&report, cur, "quality", "totalOverflow",
-                       side.totalOverflow,
-                       static_cast<double>(cur.totalOverflow),
-                       thresholds.qualityGrowth);
-        }
-        if (cur.routability < side.routability - 1e-12) {
-            report.regressions.push_back(
-                {"quality", cur.config, cur.instance, "routability",
-                 side.routability, cur.routability,
-                 growthPercent(side.routability, cur.routability)});
-        }
     }
     return report;
 }

@@ -10,14 +10,14 @@
 // the canonical options JSON, and host info — so a diff can tell "the
 // router regressed" apart from "you measured a different problem".
 //
-// The diff side compares a fresh store against (a) a prior store and
-// (b) the committed kernel-bench baseline (BENCH_streak.json), flagging
-// wall-time growth, counter growth (maze pops, LP pivots, ...), and any
-// quality loss (wirelength / vias / overflow / routability). Counters
-// are thread-count-invariant by the determinism contract, so any counter
-// growth between same-config runs is a real behavioural change, not
-// scheduling noise; wall time gets a generous threshold plus a noise
-// floor instead.
+// The diff side compares a fresh store against a prior store, flagging
+// wall-time growth, counter growth (LP pivots, PD iterations, ...), and
+// any quality loss (wirelength / vias / overflow / routability).
+// Counters are thread-count-invariant by the determinism contract, so
+// any counter growth between same-config runs is a real behavioural
+// change, not scheduling noise; wall time gets a generous threshold plus
+// a noise floor instead. The committed kernel-bench baseline
+// (BENCH_streak.json) is judged by `report_check --bench`, not here.
 #pragma once
 
 #include <iosfwd>
@@ -44,8 +44,8 @@ inline constexpr const char* kVerdictSchema = "streak-campaign-verdict";
 inline constexpr int kVerdictSchemaVersion = 1;
 
 /// One named solver configuration of the sweep grid. `manualBaseline`
-/// runs the sequential maze baseline (route::routeSequential in
-/// maze-only mode) instead of the Streak flow; `options` is ignored.
+/// runs the Table I manual-design baseline (route::routeSequential)
+/// instead of the Streak flow; `options` is ignored.
 struct SweepConfig {
     std::string name;
     StreakOptions options;
@@ -53,29 +53,25 @@ struct SweepConfig {
 };
 
 /// The built-in configs: "pd" (primal-dual + post optimization),
-/// "pd-nopost" (primal-dual only), "ilp" (the exact solver with the same
-/// options as the kernel bench's after side), and "manual" (the
-/// sequential maze baseline in the bench's maze-kernel semantics). The
-/// ilp and manual configs measure the same quantities as the bench's
-/// after sides, so their records diff directly against
-/// BENCH_streak.json.
+/// "pd-nopost" (primal-dual only), "ilp" (the exact solver, 10 s cap)
+/// and "manual" (the Table I sequential baseline: pattern route first,
+/// maze search as fallback).
 [[nodiscard]] std::vector<SweepConfig> builtinConfigs();
 
 /// Look up a built-in config; throws std::invalid_argument for unknown
 /// names (the message lists the known ones).
 [[nodiscard]] SweepConfig configByName(std::string_view name);
 
-/// What to sweep. Instances come from gen::shrunkSynthSpec(suite) — the
-/// same shrunk recipe as the kernel bench, which is what makes the
-/// bench-baseline comparison meaningful.
+/// What to sweep. Instances come from gen::shrunkSynthSpec(suite), the
+/// same shrunk recipe as the kernel bench.
 struct CampaignSpec {
     std::vector<int> suites{1, 2, 3, 4, 5, 6, 7};
     /// Empty means builtinConfigs().
     std::vector<SweepConfig> configs;
     std::vector<int> threads{0};
     /// Fault-injection knob for drills and tests: scale the named
-    /// counters in every persisted record (e.g. {"route/maze.pops", 2.0}
-    /// simulates a 2x maze regression without touching the router).
+    /// counters in every persisted record (e.g. {"ilp/lp.pivots", 2.0}
+    /// simulates a 2x LP regression without touching the solver).
     std::map<std::string, double> scaleCounters;
 };
 
@@ -105,8 +101,10 @@ struct RunRecord {
 [[nodiscard]] obs::json::Value recordToJson(const RunRecord& record);
 
 /// Parse one store line back. On any malformed input (wrong schema or
-/// version, missing field, wrong type) returns nullopt and stores a
-/// message in *error (when non-null).
+/// version, missing field, wrong type, a non-integral or out-of-range
+/// integer: beyond int for thread counts, beyond +-2^53 for counters and
+/// metrics) returns nullopt and stores a message in *error (when
+/// non-null).
 [[nodiscard]] std::optional<RunRecord> recordFromJson(
     const obs::json::Value& value, std::string* error = nullptr);
 
@@ -155,9 +153,9 @@ struct Regression {
     double growthPercent = 0.0;
 };
 
-/// Outcome of one comparison (vs a prior store or vs the bench baseline).
+/// Outcome of one comparison against a prior store.
 struct DiffReport {
-    std::string against;  ///< "store" or "bench"
+    std::string against;  ///< "store"
     int comparedRuns = 0;
     std::vector<Regression> regressions;
     /// Skipped comparisons and provenance mismatches, e.g. "no baseline
@@ -171,15 +169,6 @@ struct DiffReport {
 /// newest measurement wins). Records whose problem or config hash
 /// differs from the baseline's are noted and skipped, not compared.
 [[nodiscard]] DiffReport diffAgainstStore(const Store& baseline,
-                                          const Store& current,
-                                          const DiffThresholds& thresholds = {});
-
-/// Compare current "ilp"-config records against the committed kernel
-/// bench (streak-kernel-bench v1): LP pivots vs the after side's
-/// counters, quality vs the after side's solution. Only the LP kernel
-/// entries are comparable — the maze kernel harness routes every bit
-/// through the raw search, which a flow run does not.
-[[nodiscard]] DiffReport diffAgainstBench(const obs::json::Value& bench,
                                           const Store& current,
                                           const DiffThresholds& thresholds = {});
 

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <map>
+#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "flow/report.hpp"
 #include "flow/streak.hpp"
@@ -270,33 +273,74 @@ const Value* checkBenchSide(const Value& entry, const std::string& key,
     return side;
 }
 
-/// The before/after runs must agree on every solution field (routed
-/// bits, wirelength, vias, objective, ...): the kernel rewrites are
-/// required to be outcome-preserving, not just faster.
-void checkBenchSolutions(const Value& before, const Value& after,
-                         const std::string& where, Checker* check) {
-    const Value* sb = before.find("solution");
-    const Value* sa = after.find("solution");
-    if (sb == nullptr || sa == nullptr || sb->kind() != Kind::Object ||
-        sa->kind() != Kind::Object) {
-        return;  // already reported by checkBenchSide
+/// A solution field every side of a kernel must carry. `loss` is +1
+/// when a higher value is a quality loss, -1 when a lower one is, and 0
+/// for bookkeeping fields.
+struct SolutionField {
+    const char* name;
+    int loss;
+};
+
+/// What the bench knows about each kernel: its headline work counter
+/// and its solution fields.
+struct BenchKernel {
+    const char* name;
+    const char* hotCounter;
+    std::vector<SolutionField> solution;
+};
+
+const std::vector<BenchKernel>& benchKernels() {
+    static const std::vector<BenchKernel> kernels = {
+        {"route/maze", "route/maze.pops",
+         {{"routedBits", -1}, {"totalBits", 0}, {"wirelength", 1},
+          {"vias", 1}}},
+        {"ilp/lp", "ilp/lp.pivots",
+         {{"objective", 1}, {"routability", -1}, {"wirelength", 1},
+          {"totalOverflow", 1}, {"hitTimeLimit", 1}}}};
+    return kernels;
+}
+
+const BenchKernel* benchKernel(const Value& entry) {
+    const Value* name = entry.find("kernel");
+    if (name == nullptr || name->kind() != Kind::String) return nullptr;
+    for (const BenchKernel& kernel : benchKernels()) {
+        if (name->asString() == kernel.name) return &kernel;
     }
-    for (const auto& [key, value] : sb->asObject().items()) {
-        const Value* other = sa->find(key);
-        if (other == nullptr || other->kind() != value.kind()) {
-            check->fail(where + ": solution field \"" + key +
-                        "\" missing or mistyped on the after side");
-            continue;
+    return nullptr;
+}
+
+/// `side`'s section.key as a number; NaN when absent or mistyped (shape
+/// problems are reported by the shape checks).
+double benchNumber(const Value& side, const char* section, const char* key) {
+    const Value* obj = side.find(section);
+    const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+    if (v == nullptr) return std::nan("");
+    if (v->kind() == Kind::Bool) return v->asBool() ? 1.0 : 0.0;
+    return v->kind() == Kind::Number ? v->asNumber() : std::nan("");
+}
+
+/// `after` must agree with the reference side on every solution field
+/// (routed bits, wirelength, vias, objective, ...), and both must carry
+/// the kernel's fields: the kernel rewrites are required to be
+/// outcome-preserving, not just faster.
+void checkBenchSolutions(const BenchKernel& kernel, const Value& reference,
+                         const Value& after, const std::string& what,
+                         const std::string& where, Checker* check) {
+    for (const SolutionField& field : kernel.solution) {
+        if (std::isnan(benchNumber(reference, "solution", field.name)) ||
+            std::isnan(benchNumber(after, "solution", field.name))) {
+            check->fail(where + ": solution field \"" + field.name +
+                        "\" missing or mistyped");
         }
-        bool same = true;
-        if (value.kind() == Kind::Number) {
-            same = std::abs(value.asNumber() - other->asNumber()) <= 1e-6;
-        } else if (value.kind() == Kind::Bool) {
-            same = value.asBool() == other->asBool();
-        }
-        if (!same) {
-            check->fail(where + ": before/after disagree on solution field \"" +
-                        key + "\"");
+    }
+    const Value* fields = reference.find("solution");
+    if (fields == nullptr || fields->kind() != Kind::Object) return;
+    for (const auto& [key, value] : fields->asObject().items()) {
+        const double want = benchNumber(reference, "solution", key.c_str());
+        const double got = benchNumber(after, "solution", key.c_str());
+        if (!std::isnan(want) && !(std::abs(want - got) <= 1e-6)) {
+            check->fail(where + ": after side disagrees with " + what +
+                        " on solution field \"" + key + "\"");
         }
     }
 }
@@ -316,11 +360,15 @@ void checkBenchDrop(const Value& totals, const std::string& kernel,
     }
 }
 
-void checkBenchDoc(const Value& doc, const std::string& where,
-                   Checker* check) {
+/// Shape, per-entry before == after solutions and the totals' drop
+/// contract. Returns the well-formed entries keyed "kernel/design".
+std::map<std::string, const Value*> checkBenchDoc(const Value& doc,
+                                                  const std::string& where,
+                                                  Checker* check) {
+    std::map<std::string, const Value*> entries;
     if (doc.kind() != Kind::Object) {
         if (!doc.isNull()) check->fail(where + ": top level is not an object");
-        return;
+        return entries;
     }
     const Value* schema =
         requireField(doc, "schema", Kind::String, where, check);
@@ -343,13 +391,24 @@ void checkBenchDoc(const Value& doc, const std::string& where,
             const Value& entry = kernels->asArray()[i];
             const std::string at =
                 where + ":kernel[" + std::to_string(i) + "]";
-            requireField(entry, "kernel", Kind::String, at, check);
-            requireField(entry, "design", Kind::String, at, check);
+            const Value* kernelName =
+                requireField(entry, "kernel", Kind::String, at, check);
+            const Value* design =
+                requireField(entry, "design", Kind::String, at, check);
             const Value* before = checkBenchSide(entry, "before", at, check);
             const Value* after = checkBenchSide(entry, "after", at, check);
-            if (before != nullptr && after != nullptr) {
-                checkBenchSolutions(*before, *after, at, check);
+            const BenchKernel* kernel = benchKernel(entry);
+            if (kernelName != nullptr && kernel == nullptr) {
+                check->fail(at + ": unknown kernel \"" +
+                            kernelName->asString() + "\"");
             }
+            if (kernel == nullptr || design == nullptr || before == nullptr ||
+                after == nullptr) {
+                continue;
+            }
+            checkBenchSolutions(*kernel, *before, *after, "the before side",
+                                at, check);
+            entries[kernel->name + ("/" + design->asString())] = &entry;
         }
     }
     const Value* totals =
@@ -357,6 +416,52 @@ void checkBenchDoc(const Value& doc, const std::string& where,
     if (totals != nullptr) {
         checkBenchDrop(*totals, "maze", where, check);
         checkBenchDrop(*totals, "lp", where, check);
+    }
+    return entries;
+}
+
+/// Headroom of a fresh hot counter (maze pops, LP pivots) over the
+/// committed after side: unrelated code motion may shift it a little, a
+/// real regression moves it more.
+constexpr double kBenchCounterGrowth = 0.10;
+
+/// Fresh against committed, per committed (kernel, design): the entry is
+/// present, its after solution equals the frozen before side, its hot
+/// counter is at most kBenchCounterGrowth above the committed after side,
+/// and its after solution loses no quality against the committed after.
+void checkBenchAgainstCommitted(
+    const std::map<std::string, const Value*>& fresh,
+    const std::map<std::string, const Value*>& committed,
+    const std::string& where, Checker* check) {
+    for (const auto& [key, entry] : committed) {
+        const std::string at = where + ":" + key;
+        const auto it = fresh.find(key);
+        if (it == fresh.end()) {
+            check->fail(at + ": missing (committed in the baseline)");
+            continue;
+        }
+        const BenchKernel& kernel = *benchKernel(*entry);
+        const Value& base = *entry->find("after");
+        const Value& after = *it->second->find("after");
+        checkBenchSolutions(kernel, *entry->find("before"), after,
+                            "the frozen before side", at, check);
+        const double baseHot = benchNumber(base, "counters", kernel.hotCounter);
+        const double hot = benchNumber(after, "counters", kernel.hotCounter);
+        if (!(hot <= baseHot * (1.0 + kBenchCounterGrowth))) {
+            std::ostringstream msg;
+            msg << at << ": " << kernel.hotCounter << ' ' << hot
+                << " is more than " << 100.0 * kBenchCounterGrowth
+                << "% above the committed " << baseHot;
+            check->fail(msg.str());
+        }
+        for (const SolutionField& field : kernel.solution) {
+            if (field.loss * (benchNumber(after, "solution", field.name) -
+                              benchNumber(base, "solution", field.name)) >
+                1e-9) {
+                check->fail(at + ": quality loss in \"" + field.name +
+                            "\" against the committed after side");
+            }
+        }
     }
 }
 
@@ -377,10 +482,17 @@ CheckResult checkChromeTrace(std::string_view text, const std::string& where) {
     return check.take();
 }
 
-CheckResult checkKernelBench(std::string_view text, const std::string& where) {
+CheckResult checkKernelBench(std::string_view fresh,
+                             const std::string& freshWhere,
+                             std::string_view committed,
+                             const std::string& committedWhere) {
     Checker check;
-    const Value doc = parseText(text, where, &check);
-    checkBenchDoc(doc, where, &check);
+    const Value freshDoc = parseText(fresh, freshWhere, &check);
+    const Value committedDoc = parseText(committed, committedWhere, &check);
+    checkBenchAgainstCommitted(checkBenchDoc(freshDoc, freshWhere, &check),
+                               checkBenchDoc(committedDoc, committedWhere,
+                                             &check),
+                               freshWhere, &check);
     return check.take();
 }
 

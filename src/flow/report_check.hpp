@@ -17,10 +17,15 @@
 //   checkChromeTrace chrome://tracing export: every duration event
 //                    carries ph/ts/pid/tid/name and each (pid, tid)
 //                    track's B/E events balance with matching names.
-//   checkKernelBench streak-kernel-bench v1 (`micro_kernels --report`):
-//                    before/after sides per kernel per design, solution
-//                    equality, and the >= 30% pops / pivots drop
-//                    contract.
+//   checkKernelBench streak-kernel-bench v1 (`micro_kernels --report`)
+//                    against the committed BENCH_streak.json — the one
+//                    place fresh kernel numbers meet the committed ones:
+//                    shape of both documents, before/after solution
+//                    equality, the >= 30% pops / pivots drop, every
+//                    committed design present, each after solution equal
+//                    to the frozen before side, each hot counter at most
+//                    10% above the committed after side, and no quality
+//                    loss against it.
 #pragma once
 
 #include <string>
@@ -46,8 +51,11 @@ struct CheckResult {
 [[nodiscard]] CheckResult checkChromeTrace(std::string_view text,
                                            const std::string& where);
 
-/// Validate a streak-kernel-bench document.
-[[nodiscard]] CheckResult checkKernelBench(std::string_view text,
-                                           const std::string& where);
+/// Validate a fresh streak-kernel-bench document against the committed
+/// one (both as text; `*Where` prefix the problems).
+[[nodiscard]] CheckResult checkKernelBench(std::string_view fresh,
+                                           const std::string& freshWhere,
+                                           std::string_view committed,
+                                           const std::string& committedWhere);
 
 }  // namespace streak::flow

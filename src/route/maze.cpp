@@ -167,7 +167,6 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
         if (inTree(nodeId(tp.x, tp.y, 0))) continue;
 
         const auto heur = [&](int x, int y, int l) -> double {
-            if (!opts_.useAstar) return 0.0;
             const int dx = std::abs(x - tp.x);
             const int dy = std::abs(y - tp.y);
             int vias = 0;
@@ -194,10 +193,8 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
             by1 = std::max(by1, nodeY(n));
         }
 
-        long margin =
-            opts_.useWindow ? std::max(1L, static_cast<long>(opts_.windowMargin))
-                            : 0;
-        bool fullGrid = !opts_.useWindow;
+        long margin = std::max(1L, static_cast<long>(opts_.windowMargin));
+        bool fullGrid = false;
         int reached = -1;
         for (;;) {
             Window win{0, 0, W - 1, H - 1};
@@ -292,7 +289,7 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
                         // Canonical equal-cost parent: the smallest
                         // predecessor id wins, making the routed tree a
                         // pure function of the distance field — identical
-                        // for A*/Dijkstra and windowed/full searches.
+                        // to the full-grid Dijkstra oracle's tree.
                         // (Skipped for zero-cost moves, where the rule
                         // could orient a tie both ways.)
                         state->parent_[sn] = top.node;

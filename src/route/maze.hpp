@@ -14,7 +14,7 @@
 //                      (f, g, node) pop ordering and a canonical
 //                      equal-cost parent rule, so the routed tree is a
 //                      pure function of the cost field — byte-identical
-//                      whether the heuristic is on or off
+//                      to a plain Dijkstra search
 //   search window      search restricted to the bounding box of the
 //                      partial tree plus the sink, inflated by a margin
 //                      that doubles until the window-optimal path is
@@ -28,6 +28,9 @@
 // and across route() calls instead of being reallocated and O(W*H*L)
 // re-filled per sink. MazeRouter owns one by default; callers running
 // one router per worker thread can pass their own.
+//
+// The plain full-grid Dijkstra both rewrites are checked against lives
+// with the tests (tests/maze_oracle.hpp), not in the library.
 #pragma once
 
 #include <optional>
@@ -50,15 +53,8 @@ struct MazeOptions {
     bool allowOverflow = false;
     double overflowCost = 8.0;
 
-    /// Guide the search with the admissible distance heuristic. Off
-    /// means h = 0, i.e. plain Dijkstra — same result, more heap pops
-    /// (kept as the oracle for tests and before/after benches).
-    bool useAstar = true;
-    /// Restrict each sink search to a bounding-box window around the
-    /// partial tree and the sink, growing it until provably optimal.
-    /// Off searches the full grid directly (the oracle / "before" mode).
-    bool useWindow = true;
-    /// Initial window inflation margin in G-Cells; each retry doubles it.
+    /// Initial search-window inflation margin in G-Cells around the
+    /// partial tree and the sink; each retry doubles it.
     int windowMargin = 8;
 
     /// Deadline/cancellation ticket polled every ~1024 heap pops (idle
@@ -88,7 +84,7 @@ private:
     friend class MazeRouter;
 
     struct HeapEntry {
-        double f;  // g + heuristic (== g when A* is off)
+        double f;  // g + heuristic
         double g;  // cost from the tree
         int node;
     };

@@ -43,7 +43,7 @@ bool patternRoute(const Design& design, grid::EdgeUsage* usage,
 }  // namespace
 
 SequentialResult routeSequential(const Design& design,
-                                 const MazeOptions& opts, bool mazeOnly) {
+                                 const MazeOptions& opts) {
     const obs::Stopwatch watch;
     SequentialResult result(design.grid);
     MazeRouter router(&result.usage, opts);
@@ -57,23 +57,21 @@ SequentialResult routeSequential(const Design& design,
             ++result.totalBits;
             // Min-wire-length pattern route first (what a designer draws:
             // the best Steiner tree on free tracks), maze as fallback.
-            if (!mazeOnly) {
-                steiner::EnumerateOptions eopts;
-                eopts.maxCandidates = 3;
-                const auto candidates =
-                    steiner::enumerateTopologies(bit.pins, bit.driver, eopts);
-                bool placed = false;
-                for (const steiner::Topology& t : candidates) {
-                    if (patternRoute(design, &result.usage, t,
-                                     &result.wirelength, &result.viaCount)) {
-                        placed = true;
-                        break;
-                    }
+            steiner::EnumerateOptions eopts;
+            eopts.maxCandidates = 3;
+            const auto candidates =
+                steiner::enumerateTopologies(bit.pins, bit.driver, eopts);
+            bool placed = false;
+            for (const steiner::Topology& t : candidates) {
+                if (patternRoute(design, &result.usage, t, &result.wirelength,
+                                 &result.viaCount)) {
+                    placed = true;
+                    break;
                 }
-                if (placed) {
-                    ++result.routedBits;
-                    continue;
-                }
+            }
+            if (placed) {
+                ++result.routedBits;
+                continue;
             }
             const auto net = router.route(bit.pins, bit.driver, &scratch);
             if (net) {

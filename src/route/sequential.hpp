@@ -29,13 +29,9 @@ struct SequentialResult {
     }
 };
 
-/// Route every bit of the design sequentially (group order, bit order).
-/// `mazeOnly` skips the pattern-route shortcut and sends every bit
-/// through the maze search — the kernel-bench semantics, used by the
-/// campaign runner so its maze counters stay comparable to the
-/// committed BENCH_streak.json baselines.
+/// Route every bit of the design sequentially (group order, bit order):
+/// a min-wire-length pattern route first, the maze search as fallback.
 [[nodiscard]] SequentialResult routeSequential(const Design& design,
-                                               const MazeOptions& opts = {},
-                                               bool mazeOnly = false);
+                                               const MazeOptions& opts = {});
 
 }  // namespace streak::route

@@ -100,6 +100,72 @@ TEST(CampaignStore, MalformedLinesBecomeStructuredProblems) {
     EXPECT_NE(store.problems[4].find("missing field"), std::string::npos);
 }
 
+/// The sample record's JSON with `section`.`key` (top level when
+/// `section` is empty) replaced by `value`.
+json::Value sampleWith(const std::string& section, const std::string& key,
+                       json::Value value) {
+    json::Object top = campaign::recordToJson(sampleRecord()).asObject();
+    if (section.empty()) {
+        top.set(key, std::move(value));
+    } else {
+        json::Object inner = top.find(section)->asObject();
+        inner.set(key, std::move(value));
+        top.set(section, std::move(inner));
+    }
+    return top;
+}
+
+TEST(CampaignStore, NonIntegralOrOutOfRangeNumbersAreProblems) {
+    struct Row {
+        const char* section;
+        const char* key;
+        double value;
+        bool accepted;
+    };
+    const double twoTo53 = 9007199254740992.0;
+    const Row rows[] = {
+        {"", "threads", 8, true},
+        {"", "threads", -1, true},
+        {"", "threads", 2.7, false},
+        {"", "threads", -9e18, false},
+        {"", "threads", 3e9, false},
+        {"", "threadsUsed", 1.5, false},
+        {"", "schemaVersion", 1.5, false},
+        {"provenance", "hardwareThreads", 1e10, false},
+        {"metrics", "wirelength", twoTo53, true},
+        {"metrics", "wirelength", -twoTo53, true},
+        {"metrics", "wirelength", 0.5, false},
+        {"metrics", "wirelength", 1e300, false},
+        {"metrics", "vias", 2.0 * twoTo53, false},
+        {"metrics", "totalOverflow", -1e300, false},
+        {"counters", "ilp/lp.pivots", 32, true},
+        {"counters", "ilp/lp.pivots", 16.5, false},
+        {"counters", "ilp/lp.pivots", 1e300, false},
+        {"counters", "ilp/lp.pivots", -1e300, false},
+    };
+    for (const Row& row : rows) {
+        const std::string label = std::string(row.section) + "." + row.key +
+                                  " = " + std::to_string(row.value);
+        std::string error;
+        const auto record = campaign::recordFromJson(
+            sampleWith(row.section, row.key, row.value), &error);
+        EXPECT_EQ(record.has_value(), row.accepted) << label;
+        if (!row.accepted) {
+            EXPECT_NE(error.find("in range"), std::string::npos)
+                << label << ": " << error;
+        }
+    }
+    // Through the store reader: the line becomes a problem, not a record
+    // whose counter wrapped around.
+    std::ostringstream os;
+    sampleWith("counters", "ilp/lp.pivots", 1e300).write(os, -1);
+    std::istringstream is(os.str() + "\n");
+    const campaign::Store store = campaign::readStore(is, "store");
+    EXPECT_TRUE(store.records.empty());
+    ASSERT_EQ(store.problems.size(), 1u);
+    EXPECT_NE(store.problems[0].find("ilp/lp.pivots"), std::string::npos);
+}
+
 TEST(CampaignDiff, IdenticalStoresAreClean) {
     const campaign::Store store = storeOf({sampleRecord()});
     const campaign::DiffReport report =
@@ -201,75 +267,12 @@ TEST(CampaignDiff, LastBaselineRecordWinsInAppendOnlyStores) {
         campaign::diffAgainstStore(baseline, storeOf({sampleRecord()})).ok());
 }
 
-/// Minimal streak-kernel-bench document with one ilp/lp entry.
-json::Value benchDoc(const std::string& design, double pivots,
-                     double wirelength) {
-    json::Object counters;
-    counters.set("ilp/lp.pivots", pivots);
-    json::Object solution;
-    solution.set("objective", 555);
-    solution.set("routability", 1.0);
-    solution.set("wirelength", wirelength);
-    solution.set("totalOverflow", 0);
-    json::Object after;
-    after.set("counters", std::move(counters));
-    after.set("solution", std::move(solution));
-    json::Object entry;
-    entry.set("kernel", "ilp/lp");
-    entry.set("design", design);
-    entry.set("after", std::move(after));
-    json::Object doc;
-    doc.set("schema", "streak-kernel-bench");
-    doc.set("schemaVersion", 1);
-    doc.set("kernels", json::Array{json::Value(std::move(entry))});
-    return doc;
-}
-
-TEST(CampaignBenchDiff, ComparesIlpConfigAgainstTheAfterSide) {
-    campaign::RunRecord run = sampleRecord();
-    run.config = "ilp";
-    const json::Value clean = benchDoc(run.instance, 16.0, 425.0);
-    const campaign::DiffReport ok =
-        campaign::diffAgainstBench(clean, storeOf({run}));
-    EXPECT_TRUE(ok.ok()) << ok.regressions.front().metric;
-    EXPECT_EQ(ok.comparedRuns, 1);
-
-    // Pivots doubled vs the committed baseline -> counter regression;
-    // wirelength above the baseline -> quality regression.
-    const json::Value tight = benchDoc(run.instance, 8.0, 424.0);
-    const campaign::DiffReport bad =
-        campaign::diffAgainstBench(tight, storeOf({run}));
-    ASSERT_EQ(bad.regressions.size(), 2u);
-    EXPECT_EQ(bad.regressions[0].kind, "counter");
-    EXPECT_EQ(bad.regressions[0].metric, "ilp/lp.pivots");
-    EXPECT_EQ(bad.regressions[1].kind, "quality");
-    EXPECT_EQ(bad.regressions[1].metric, "wirelength");
-}
-
-TEST(CampaignBenchDiff, NonIlpConfigsAndForeignDocsAreSkipped) {
-    const campaign::RunRecord pdRun = sampleRecord();  // config "pd"
-    const json::Value bench = benchDoc(pdRun.instance, 1.0, 1.0);
-    const campaign::DiffReport skipped =
-        campaign::diffAgainstBench(bench, storeOf({pdRun}));
-    EXPECT_TRUE(skipped.ok());
-    EXPECT_EQ(skipped.comparedRuns, 0);
-
-    json::Object notABench;
-    notABench.set("schema", "something-else");
-    const campaign::DiffReport foreign = campaign::diffAgainstBench(
-        json::Value(std::move(notABench)), storeOf({pdRun}));
-    EXPECT_TRUE(foreign.ok());
-    ASSERT_EQ(foreign.notes.size(), 1u);
-    EXPECT_NE(foreign.notes.front().find("not a streak-kernel-bench"),
-              std::string::npos);
-}
-
 TEST(CampaignVerdict, CarriesSchemaAndRegressionCount) {
     campaign::DiffReport clean;
     clean.against = "store";
     clean.comparedRuns = 3;
     campaign::DiffReport failed;
-    failed.against = "bench";
+    failed.against = "store";
     failed.comparedRuns = 1;
     failed.regressions.push_back({"counter", "ilp", "synth1-shrunk",
                                   "ilp/lp.pivots", 16.0, 32.0, 100.0});

@@ -2,7 +2,8 @@
 // whole flow, asserting every invariant that must hold regardless of the
 // design (capacity legality, accounting, bounds, determinism, IO round
 // trips, track assignment legality) — plus hostile-input fuzzing of the
-// ECO checkpoint reader (truncation, bit flips, version skew).
+// ECO checkpoint reader (truncation, bit flips, version skew) and of the
+// campaign store reader (truncation, byte flips of a real record line).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "campaign/campaign.hpp"
 #include "core/validate.hpp"
 #include "eco/checkpoint.hpp"
 #include "flow/streak.hpp"
@@ -250,6 +252,70 @@ TEST(CheckpointFuzz, GarbageBuffersAreRejectedStructurally) {
         std::string junk(len, '\0');
         for (char& c : junk) c = static_cast<char>(rng() & 0xffu);
         EXPECT_TRUE(rejectsStructurally(junk)) << len << " random bytes";
+    }
+}
+
+// ------------------------------------------------ campaign store fuzz
+//
+// The campaign store reader's contract (campaign/campaign.hpp): every
+// line of a JSONL store ends as one record or one structured problem
+// (blank and '#' lines as neither) — truncated, byte-flipped or not,
+// never a crash. check.sh's ASan/UBSan stage reruns this block.
+
+/// One real store line: a pd-nopost run over shrunk synth1.
+const std::string& realRecordLine() {
+    static const std::string line = [] {
+        campaign::CampaignSpec spec;
+        spec.suites = {1};
+        spec.configs = {campaign::configByName("pd-nopost")};
+        spec.threads = {1};
+        std::ostringstream os;
+        campaign::appendStore(campaign::runCampaign(spec), os);
+        return os.str();
+    }();
+    return line;
+}
+
+/// Every non-blank, non-comment line of `text` must come back as exactly
+/// one record or one problem.
+void expectRecordOrProblem(const std::string& text, const std::string& label) {
+    size_t lines = 0;
+    std::istringstream split(text);
+    for (std::string line; std::getline(split, line);) {
+        const size_t start = line.find_first_not_of(" \t\r");
+        if (start != std::string::npos && line[start] != '#') ++lines;
+    }
+    std::istringstream is(text);
+    const campaign::Store store = campaign::readStore(is, "fuzz");
+    EXPECT_EQ(store.records.size() + store.problems.size(), lines) << label;
+}
+
+TEST(CampaignStoreFuzz, RealLineReadsBackAsARecord) {
+    std::istringstream is(realRecordLine());
+    const campaign::Store store = campaign::readStore(is, "fuzz");
+    EXPECT_TRUE(store.problems.empty());
+    ASSERT_EQ(store.records.size(), 1u);
+    EXPECT_FALSE(store.records[0].counters.empty());
+}
+
+TEST(CampaignStoreFuzz, EveryTruncationIsARecordOrAProblem) {
+    const std::string& line = realRecordLine();
+    for (size_t len = 0; len < line.size(); ++len) {
+        expectRecordOrProblem(line.substr(0, len),
+                              "prefix of " + std::to_string(len));
+    }
+}
+
+TEST(CampaignStoreFuzz, EveryByteFlipIsARecordOrAProblem) {
+    const std::string& line = realRecordLine();
+    for (size_t i = 0; i < line.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string mutant = line;
+            mutant[i] = static_cast<char>(
+                static_cast<unsigned char>(mutant[i]) ^ (1u << bit));
+            expectRecordOrProblem(mutant, "flip of byte " + std::to_string(i) +
+                                              " bit " + std::to_string(bit));
+        }
     }
 }
 

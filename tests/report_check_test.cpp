@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "flow/report.hpp"
 #include "flow/report_check.hpp"
@@ -188,15 +189,142 @@ TEST(TraceCheck, RejectsTruncatedAndUnbalanced) {
     EXPECT_TRUE(anyProblemMentions(result, "no open B"));
 }
 
+/// Knobs of a small streak-kernel-bench document: synth1-shrunk numbers
+/// for the maze and LP kernels, with the LP after side adjustable.
+struct BenchKnobs {
+    std::vector<std::string> designs = {"synth1-shrunk"};
+    double pivots = 16.0;        ///< LP after side's ilp/lp.pivots
+    double wirelength = 425.0;   ///< both after sides' wirelength
+};
+
+json::Object benchSide(const char* variant, const char* counter,
+                       double count, json::Object solution) {
+    json::Object counters;
+    counters.set(counter, count);
+    json::Object side;
+    side.set("variant", variant);
+    side.set("seconds", 0.001);
+    side.set("counters", std::move(counters));
+    side.set("solution", std::move(solution));
+    return side;
+}
+
+json::Object mazeSolution(double wirelength) {
+    json::Object solution;
+    solution.set("routedBits", 30);
+    solution.set("totalBits", 30);
+    solution.set("wirelength", wirelength);
+    solution.set("vias", 5);
+    return solution;
+}
+
+json::Object lpSolution(double wirelength) {
+    json::Object solution;
+    solution.set("objective", 555);
+    solution.set("routability", 1.0);
+    solution.set("wirelength", wirelength);
+    solution.set("totalOverflow", 0);
+    solution.set("hitTimeLimit", false);
+    return solution;
+}
+
+std::string benchDoc(const BenchKnobs& k) {
+    json::Array kernels;
+    for (const std::string& design : k.designs) {
+        json::Object maze;
+        maze.set("kernel", "route/maze");
+        maze.set("design", design);
+        maze.set("before", benchSide("dijkstra-full-grid", "route/maze.pops",
+                                     66184, mazeSolution(425)));
+        maze.set("after", benchSide("astar-window", "route/maze.pops", 1455,
+                                    mazeSolution(k.wirelength)));
+        kernels.push_back(json::Value(std::move(maze)));
+        json::Object lp;
+        lp.set("kernel", "ilp/lp");
+        lp.set("design", design);
+        lp.set("before", benchSide("legacy-bound-rows", "ilp/lp.pivots", 82,
+                                   lpSolution(425)));
+        lp.set("after", benchSide("bounded", "ilp/lp.pivots", k.pivots,
+                                  lpSolution(k.wirelength)));
+        kernels.push_back(json::Value(std::move(lp)));
+    }
+    json::Object mazeTotals;
+    mazeTotals.set("dropPercent", 100.0 * (66184 - 1455) / 66184);
+    json::Object lpTotals;
+    lpTotals.set("dropPercent", 100.0 * (82 - k.pivots) / 82);
+    json::Object totals;
+    totals.set("maze", std::move(mazeTotals));
+    totals.set("lp", std::move(lpTotals));
+    json::Object doc;
+    doc.set("schema", "streak-kernel-bench");
+    doc.set("schemaVersion", 1);
+    doc.set("kernels", std::move(kernels));
+    doc.set("totals", std::move(totals));
+    return json::Value(std::move(doc)).dump(2);
+}
+
+flow::CheckResult checkBench(const BenchKnobs& fresh,
+                             const BenchKnobs& committed = {}) {
+    return flow::checkKernelBench(benchDoc(fresh), "fresh",
+                                  benchDoc(committed), "committed");
+}
+
 TEST(BenchCheck, RejectsMalformedDocuments) {
-    EXPECT_FALSE(flow::checkKernelBench("{", "bench").ok());
-    EXPECT_FALSE(flow::checkKernelBench("{}", "bench").ok());
+    const std::string good = benchDoc({});
+    EXPECT_TRUE(
+        flow::checkKernelBench(good, "fresh", good, "committed").ok());
+    EXPECT_FALSE(flow::checkKernelBench("{", "fresh", good, "committed").ok());
+    EXPECT_FALSE(flow::checkKernelBench("{}", "fresh", good, "committed").ok());
+    EXPECT_FALSE(flow::checkKernelBench(good, "fresh", "{", "committed").ok());
     const flow::CheckResult result = flow::checkKernelBench(
         R"({"schema": "streak-kernel-bench", "schemaVersion": 1,
             "kernels": [], "totals": {}})",
-        "bench");
+        "fresh", good, "committed");
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(anyProblemMentions(result, "no kernel entries"));
+    // A committed file of another schema is a problem, not a skip.
+    const flow::CheckResult foreign = flow::checkKernelBench(
+        good, "fresh", R"({"schema": "something-else"})", "committed");
+    EXPECT_FALSE(foreign.ok());
+    EXPECT_TRUE(anyProblemMentions(foreign, "something-else"));
+}
+
+TEST(BenchCheck, FlagsPivotsAboveCommittedPlusTenPercent) {
+    BenchKnobs fresh;
+    fresh.pivots = 17.0;  // 6% above the committed 16: tolerated
+    EXPECT_TRUE(checkBench(fresh).ok());
+    fresh.pivots = 18.0;  // 12.5% above
+    const flow::CheckResult result = checkBench(fresh);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(anyProblemMentions(result, "ilp/lp.pivots"));
+}
+
+TEST(BenchCheck, FlagsAWirelengthLoss) {
+    BenchKnobs fresh;
+    fresh.wirelength = 426.0;
+    const flow::CheckResult result = checkBench(fresh);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(anyProblemMentions(result, "quality loss in \"wirelength\""));
+    EXPECT_TRUE(anyProblemMentions(result, "frozen before side"));
+}
+
+TEST(BenchCheck, FlagsACommittedDesignMissingFromTheFreshRun) {
+    BenchKnobs committed;
+    committed.designs = {"synth1-shrunk", "synth2-shrunk"};
+    const flow::CheckResult result = checkBench({}, committed);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(anyProblemMentions(result, "route/maze/synth2-shrunk"));
+    EXPECT_TRUE(anyProblemMentions(result, "ilp/lp/synth2-shrunk"));
+    // Extra fresh designs are fine.
+    EXPECT_TRUE(checkBench(committed).ok());
+}
+
+TEST(BenchCheck, FlagsADropBelowThirtyPercent) {
+    BenchKnobs slow;
+    slow.pivots = 70.0;  // 14.6% below the frozen 82
+    const flow::CheckResult result = checkBench(slow, slow);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(anyProblemMentions(result, "below the 30%"));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gen/generator.hpp"
+#include "maze_oracle.hpp"
 #include "route/maze.hpp"
 #include "route/sequential.hpp"
 #include "test_util.hpp"
@@ -161,7 +162,8 @@ MazeScenario randomScenario(std::mt19937* rng) {
     return s;
 }
 
-/// Replay a scenario under the given search options; pre-existing
+/// Replay a scenario under the given search options, through the
+/// production router or the full-grid Dijkstra oracle; pre-existing
 /// congestion is seeded deterministically from the scenario.
 struct ReplayResult {
     std::vector<bool> routed;
@@ -171,7 +173,8 @@ struct ReplayResult {
     long long totalUsage = 0;
 };
 
-ReplayResult replay(const MazeScenario& s, const MazeOptions& opts) {
+ReplayResult replay(const MazeScenario& s, const MazeOptions& opts,
+                    bool oracle = false) {
     grid::RoutingGrid g(s.w, s.h, s.layers, s.capacity);
     for (const auto& [lo, hi] : s.blockRects) g.addBlockage({lo, hi}, 0, 0);
     grid::EdgeUsage usage(g);
@@ -184,7 +187,8 @@ ReplayResult replay(const MazeScenario& s, const MazeOptions& opts) {
     MazeRouter router(&usage, opts);
     ReplayResult r;
     for (const auto& pins : s.nets) {
-        const auto net = router.route(pins, 0);
+        const auto net = oracle ? testoracle::routeDijkstra(&usage, pins, 0, opts)
+                                : router.route(pins, 0);
         r.routed.push_back(net.has_value());
         r.edges.push_back(net ? net->edges : std::vector<int>{});
         r.wirelength.push_back(net ? net->wirelength2d : -1);
@@ -198,22 +202,12 @@ TEST(MazeOracle, AstarAndWindowMatchDijkstraOnRandomGrids) {
     std::mt19937 rng(987654);
     for (int trial = 0; trial < 12; ++trial) {
         const MazeScenario s = randomScenario(&rng);
-
-        MazeOptions dijkstra;  // the oracle: no heuristic, no window
-        dijkstra.useAstar = false;
-        dijkstra.useWindow = false;
-        MazeOptions astar = dijkstra;
-        astar.useAstar = true;
-        MazeOptions windowed = astar;
-        windowed.useWindow = true;
-        windowed.windowMargin = 2;  // tiny: force growth on detours
-        MazeOptions windowedDijkstra = dijkstra;
-        windowedDijkstra.useWindow = true;
-        windowedDijkstra.windowMargin = 2;
-
-        const ReplayResult oracle = replay(s, dijkstra);
-        for (const MazeOptions& v : {astar, windowed, windowedDijkstra}) {
-            const ReplayResult got = replay(s, v);
+        MazeOptions defaults;
+        MazeOptions tiny;
+        tiny.windowMargin = 2;  // force growth on detours
+        for (const MazeOptions& opts : {defaults, tiny}) {
+            const ReplayResult oracle = replay(s, opts, /*oracle=*/true);
+            const ReplayResult got = replay(s, opts);
             ASSERT_EQ(got.routed, oracle.routed) << "trial " << trial;
             ASSERT_EQ(got.edges, oracle.edges) << "trial " << trial;
             EXPECT_EQ(got.wirelength, oracle.wirelength) << "trial " << trial;
@@ -227,17 +221,12 @@ TEST(MazeOracle, CongestedRunsMatchWithOverflowAllowed) {
     std::mt19937 rng(13579);
     for (int trial = 0; trial < 6; ++trial) {
         const MazeScenario s = randomScenario(&rng);
-        MazeOptions oracleOpts;
-        oracleOpts.useAstar = false;
-        oracleOpts.useWindow = false;
-        oracleOpts.allowOverflow = true;
-        oracleOpts.congestionPenalty = 20.0;
-        MazeOptions fast = oracleOpts;
-        fast.useAstar = true;
-        fast.useWindow = true;
-        fast.windowMargin = 3;
-        const ReplayResult oracle = replay(s, oracleOpts);
-        const ReplayResult got = replay(s, fast);
+        MazeOptions opts;
+        opts.allowOverflow = true;
+        opts.congestionPenalty = 20.0;
+        opts.windowMargin = 3;
+        const ReplayResult oracle = replay(s, opts, /*oracle=*/true);
+        const ReplayResult got = replay(s, opts);
         ASSERT_EQ(got.edges, oracle.edges) << "trial " << trial;
         EXPECT_EQ(got.wirelength, oracle.wirelength) << "trial " << trial;
         EXPECT_EQ(got.vias, oracle.vias) << "trial " << trial;
@@ -249,25 +238,21 @@ TEST(MazeOracle, WindowGrowsToReachSinkBehindLongWall) {
     // the path must detour above y = 30 while the tree-bbox window
     // starts as a sliver around y = 5. The progressive window must keep
     // growing (or fall back to full grid) and still find the oracle path.
-    const auto build = [](const MazeOptions& opts) {
+    const auto build = [](bool oracle) {
         grid::RoutingGrid g(40, 40, 2, 1);
         for (int y = 0; y <= 30; ++y) g.addBlockage({{12, y}, {14, y}}, 0, 0);
         for (int x = 12; x <= 14; ++x) {
             for (int y = 0; y <= 30; ++y) g.addBlockage({{x, y}, {x, y}}, 1, 0);
         }
         grid::EdgeUsage usage(g);
+        MazeOptions opts;
+        opts.windowMargin = 2;
         MazeRouter router(&usage, opts);
-        return router.route({{5, 5}, {30, 5}}, 0);
+        return oracle ? testoracle::routeDijkstra(&usage, {{5, 5}, {30, 5}}, 0)
+                      : router.route({{5, 5}, {30, 5}}, 0);
     };
-    MazeOptions oracleOpts;
-    oracleOpts.useAstar = false;
-    oracleOpts.useWindow = false;
-    MazeOptions fast;
-    fast.useAstar = true;
-    fast.useWindow = true;
-    fast.windowMargin = 2;
-    const auto oracle = build(oracleOpts);
-    const auto got = build(fast);
+    const auto oracle = build(true);
+    const auto got = build(false);
     ASSERT_TRUE(oracle.has_value());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->edges, oracle->edges);
@@ -293,6 +278,7 @@ TEST(MazeOracle, WindowedSearchStillFailsCleanlyWhenBlocked) {
     opts.windowMargin = 1;
     MazeRouter router(&usage, opts);
     EXPECT_FALSE(router.route({{1, 4}, {6, 4}}, 0).has_value());
+    EXPECT_FALSE(testoracle::routeDijkstra(&usage, {{1, 4}, {6, 4}}, 0));
     for (int e = 0; e < g.numEdges(); ++e) EXPECT_EQ(usage.usage(e), 0);
 }
 

@@ -11,7 +11,8 @@
 #   3. -Werror build                (CMake preset `werror`)
 #   4. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
 #                                    clustering_equivalence_test +
-#                                    candidate_equivalence_test)
+#                                    candidate_equivalence_test +
+#                                    campaign store fuzz)
 #   5. ThreadSanitizer              (preset `tsan`, thread pool +
 #                                    determinism tests)
 #   6. observability exports        (route a generated design with
@@ -19,8 +20,11 @@
 #                                    tools/report_check)
 #   7. hot-path kernel bench        (micro_kernels --report over the
 #                                    shrunk synth suite; report_check
-#                                    --bench enforces the >= 30% pops /
-#                                    pivots drop and unchanged solutions)
+#                                    --bench against the committed
+#                                    BENCH_streak.json enforces unchanged
+#                                    solutions, the >= 30% pops / pivots
+#                                    drop and hot counters within 10% of
+#                                    the committed after sides)
 #   8. chaos + deadline drill       (fault-injection sweep under
 #                                    ASan/UBSan, then a --deadline= CLI
 #                                    run whose report must validate with
@@ -36,9 +40,8 @@
 #                                    builtin config over the shrunk
 #                                    synth1-7 into a JSONL store;
 #                                    `campaign diff` must be clean
-#                                    against the store itself and the
-#                                    committed BENCH_streak.json, and
-#                                    must flag an injected 2x maze-pop
+#                                    against the store itself, and must
+#                                    flag an injected 2x LP-pivot
 #                                    regression with exit code 8)
 #
 # Usage:  tools/check.sh [--full]
@@ -88,10 +91,12 @@ else
     # The clustering oracle suite checks the pair heap's index
     # bookkeeping (cluster ids, candidate ids, ratio memo) under ASan;
     # the candidate oracle suite checks the shared shapes and the
-    # layer-offset edge ids of the candidate build.
+    # layer-offset edge ids of the candidate build; the campaign store
+    # fuzz checks the JSONL reader's number handling on mutated lines.
     ./build-asan/tests/flow_test
     ./build-asan/tests/clustering_equivalence_test
     ./build-asan/tests/candidate_equivalence_test
+    ./build-asan/tests/fuzz_test --gtest_filter='CampaignStoreFuzz.*'
 fi
 
 echo "== [5/10] ThreadSanitizer =="
@@ -119,13 +124,15 @@ trap 'rm -rf "$OBS_TMP"' EXIT
 
 echo "== [7/10] hot-path kernel bench =="
 cmake --build --preset dev --target micro_kernels -j "$JOBS" >/dev/null
-# Counter harness over the shrunk synth suite: before/after runs of the
-# maze-search and simplex kernels must produce identical solutions, and
-# report_check --bench enforces the >= 30% pops / pivots drop. The
-# committed BENCH_streak.json at the repo root is one such report, kept
-# as the reference data point.
+# Counter producer over the shrunk synth suite (A* + window maze search,
+# bounded simplex; both "before" sides frozen in the committed
+# BENCH_streak.json). report_check --bench is the one comparator with the
+# committed file: solutions equal to the frozen before sides, the >= 30%
+# pops / pivots drop, every committed design present, hot counters at
+# most 10% above the committed after sides, no quality loss. The
+# kernel_bench_contract ctest runs the same pair in tier-1.
 STREAK_BENCH_JSON="$OBS_TMP/bench.json" ./build/bench/micro_kernels --report
-./build/tools/report_check --bench "$OBS_TMP/bench.json"
+./build/tools/report_check --bench "$OBS_TMP/bench.json" BENCH_streak.json
 
 echo "== [8/10] chaos + deadline drill =="
 # Fault-tolerance contract (DESIGN.md "Robustness"): sweep every
@@ -179,24 +186,23 @@ fi
 echo "== [10/10] campaign regression drill =="
 # Sweep every builtin config (pd, pd-nopost, ilp, manual) over the
 # shrunk synth suites at one thread into an append-only JSONL store,
-# then diff: against the store itself and the committed kernel-bench
-# baseline the verdict must be clean; with maze pops scaled 2x the diff
-# must exit 8 (the campaign-regression code), proving the alarm fires.
+# then diff: against the store itself the verdict must be clean; with LP
+# pivots scaled 2x (synth1-shrunk: 16 -> 32) the diff must exit 8 (the
+# campaign-regression code), proving the alarm fires.
 ./build/tools/streak campaign run --store="$OBS_TMP/campaign.jsonl" \
     --threads=1 --quiet
 ./build/tools/streak campaign diff "$OBS_TMP/campaign.jsonl" \
-    --baseline="$OBS_TMP/campaign.jsonl" --bench=BENCH_streak.json \
-    --verdict="$OBS_TMP/verdict.json"
+    --baseline="$OBS_TMP/campaign.jsonl" --verdict="$OBS_TMP/verdict.json"
 ./build/tools/streak campaign run --store="$OBS_TMP/drill.jsonl" \
-    --suites=1 --configs=manual --threads=1 \
-    --scale-counter=route/maze.pops:2 --quiet
+    --suites=1 --configs=ilp --threads=1 \
+    --scale-counter=ilp/lp.pivots:2 --quiet
 DRILL_RC=0
 ./build/tools/streak campaign diff "$OBS_TMP/drill.jsonl" \
     --baseline="$OBS_TMP/campaign.jsonl" \
     --verdict="$OBS_TMP/drill-verdict.json" --quiet 2>/dev/null \
     || DRILL_RC=$?
 if [[ "$DRILL_RC" -ne 8 ]]; then
-    echo "check.sh: campaign diff missed the injected 2x maze-pop" \
+    echo "check.sh: campaign diff missed the injected 2x LP-pivot" \
          "regression (exit $DRILL_RC, expected 8)" >&2
     exit 1
 fi

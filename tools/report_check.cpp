@@ -1,7 +1,7 @@
 // Validator for the observability exports (DESIGN.md "Observability"):
 //
 //   report_check [--eco] <report.json> [<trace.json>]
-//   report_check --bench <BENCH_streak.json>
+//   report_check --bench <fresh.json> <committed BENCH_streak.json>
 //
 // Thin CLI over src/flow/report_check.hpp (the checks themselves are a
 // library so the test suite can drive them on malformed input without
@@ -14,12 +14,17 @@
 //              not merely validated when present. The optional second
 //              argument is a chrome://tracing export checked for
 //              structural validity (balanced per-track B/E events).
-//   --bench    streak-kernel-bench v1 (`micro_kernels --report`):
-//              before/after sides per kernel per design, solution
-//              equality, and the >= 30% pops / pivots drop contract.
+//   --bench    a fresh streak-kernel-bench v1 (`micro_kernels
+//              --report`) against the committed BENCH_streak.json, the
+//              only comparison of fresh kernel numbers with the committed
+//              ones: before/after solution equality against the frozen
+//              before sides, the >= 30% pops / pivots drop, every
+//              committed design present, hot counters at most 10% above
+//              the committed after sides, and no quality loss.
 //
 // Exits non-zero with a message per problem; check.sh runs it over fresh
-// `streak route` / `streak eco` / kernel-bench exports.
+// `streak route` / `streak eco` / kernel-bench exports, and the
+// kernel_bench_contract ctest over a fresh kernel bench.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -76,17 +81,21 @@ int main(int argc, char** argv) {
         std::cerr << "report_check: --bench and --eco are exclusive\n";
         return 2;
     }
-    if (paths.empty() || paths.size() > (bench ? 1u : 2u)) {
+    if (paths.empty() || paths.size() > 2u || (bench && paths.size() != 2u)) {
         std::cerr << "usage: report_check [--eco] <report.json> "
                      "[<trace.json>]\n"
-                     "       report_check --bench <BENCH_streak.json>\n";
+                     "       report_check --bench <fresh.json> "
+                     "<committed BENCH_streak.json>\n";
         return 2;
     }
 
     const std::optional<std::string> report = slurp(paths[0]);
     if (!report.has_value()) return 1;
     if (bench) {
-        return finish(streak::flow::checkKernelBench(*report, paths[0]));
+        const std::optional<std::string> committed = slurp(paths[1]);
+        if (!committed.has_value()) return 1;
+        return finish(streak::flow::checkKernelBench(*report, paths[0],
+                                                     *committed, paths[1]));
     }
     streak::flow::CheckResult result =
         streak::flow::checkRunReport(*report, paths[0], requireEco);

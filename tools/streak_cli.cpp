@@ -59,14 +59,11 @@
 //                          multiply a persisted counter (repeatable);
 //                          drill knob for exercising `campaign diff`
 //   --quiet                no per-run progress lines
+// A malformed campaign option value (unknown config, suite outside 1-7,
+// a number that does not parse) is a usage error (exit 2).
 //
-// campaign diff options (at least one baseline is required):
-//   --baseline=<file.jsonl>  prior store to compare against
-//   --bench=<file.json>      committed kernel-bench baseline
-//                            (BENCH_streak.json); checks the ilp
-//                            config against the LP kernel (pivots +
-//                            quality) and the manual config against
-//                            the maze kernel (pops + quality)
+// campaign diff options:
+//   --baseline=<file.jsonl>  prior store to compare against (required)
 //   --verdict=<file.json>    write the machine-readable verdict
 //   --counter-pct=<p>        counter growth threshold (default 10)
 //   --wall-pct=<p>           wall-time growth threshold (default 50)
@@ -82,9 +79,13 @@
 // fault, 7 internal error, 8 campaign regression. Fault-injection builds
 // honor the STREAK_FAULT environment variable ("site" or "site:hit", see
 // robust/fault.hpp).
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -118,8 +119,8 @@ int usage() {
               << "  streak campaign run --store=FILE.jsonl [--configs=A,B]"
                  " [--suites=1,2,..] [--threads=N,M]"
                  " [--scale-counter=NAME:FACTOR] [--quiet]\n"
-              << "  streak campaign diff <store.jsonl> [--baseline=FILE.jsonl]"
-                 " [--bench=FILE.json] [--verdict=FILE.json]"
+              << "  streak campaign diff <store.jsonl> --baseline=FILE.jsonl"
+                 " [--verdict=FILE.json]"
                  " [--counter-pct=P] [--wall-pct=P] [--min-wall=SEC]"
                  " [--quiet]\n"
               << "  streak route <design.streak> [--solver=pd|ilp]"
@@ -465,24 +466,41 @@ int cmdEco(int argc, char** argv) {
     return 0;
 }
 
-/// "1,3,7" -> {1, 3, 7}; throws std::invalid_argument on junk.
-std::vector<int> parseIntList(const std::string& text, const char* what) {
+/// Thrown on a malformed option value; main turns it into exit 2.
+struct UsageError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
+/// "1,3,7" -> {1, 3, 7}, every entry in [lo, hi].
+std::vector<int> parseIntList(const std::string& text, const char* what,
+                              long lo, long hi) {
     std::vector<int> out;
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        size_t used = 0;
-        const int v = std::stoi(item, &used);
-        if (used != item.size()) {
-            throw std::invalid_argument(std::string("bad ") + what +
-                                        " entry '" + item + "'");
+        char* end = nullptr;
+        errno = 0;
+        const long v = std::strtol(item.c_str(), &end, 10);
+        if (item.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
+            throw UsageError(std::string("bad ") + what + " entry '" + item +
+                             "' (want an integer in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "])");
         }
-        out.push_back(v);
+        out.push_back(static_cast<int>(v));
     }
-    if (out.empty()) {
-        throw std::invalid_argument(std::string("empty ") + what + " list");
-    }
+    if (out.empty()) throw UsageError(std::string("empty ") + what + " list");
     return out;
+}
+
+/// A finite, non-negative number for `option`.
+double parseAmount(const std::string& text, const char* option) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+        throw UsageError(std::string(option) + " wants a non-negative " +
+                         "number, got '" + text + "'");
+    }
+    return v;
 }
 
 int cmdCampaignRun(int argc, char** argv) {
@@ -501,12 +519,18 @@ int cmdCampaignRun(int argc, char** argv) {
             std::stringstream ss(value("--configs="));
             std::string name;
             while (std::getline(ss, name, ',')) {
-                spec.configs.push_back(campaign::configByName(name));
+                try {
+                    spec.configs.push_back(campaign::configByName(name));
+                } catch (const std::invalid_argument& e) {
+                    throw UsageError(e.what());
+                }
             }
         } else if (arg.rfind("--suites=", 0) == 0) {
-            spec.suites = parseIntList(value("--suites="), "suite");
+            spec.suites = parseIntList(value("--suites="), "suite", 1, 7);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            spec.threads = parseIntList(value("--threads="), "threads");
+            spec.threads = parseIntList(value("--threads="), "threads",
+                                        std::numeric_limits<int>::min(),
+                                        std::numeric_limits<int>::max());
         } else if (arg.rfind("--scale-counter=", 0) == 0) {
             const std::string knob = value("--scale-counter=");
             const size_t colon = knob.rfind(':');
@@ -515,7 +539,7 @@ int cmdCampaignRun(int argc, char** argv) {
                 return 2;
             }
             spec.scaleCounters[knob.substr(0, colon)] =
-                std::atof(knob.substr(colon + 1).c_str());
+                parseAmount(knob.substr(colon + 1), "--scale-counter");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -546,7 +570,6 @@ int cmdCampaignDiff(int argc, char** argv) {
     if (argc < 4) return usage();
     const std::string currentPath = argv[3];
     std::string baselinePath;
-    std::string benchPath;
     std::string verdictPath;
     campaign::DiffThresholds thresholds;
     bool quiet = false;
@@ -557,19 +580,17 @@ int cmdCampaignDiff(int argc, char** argv) {
         };
         if (arg.rfind("--baseline=", 0) == 0) {
             baselinePath = value("--baseline=");
-        } else if (arg.rfind("--bench=", 0) == 0) {
-            benchPath = value("--bench=");
         } else if (arg.rfind("--verdict=", 0) == 0) {
             verdictPath = value("--verdict=");
         } else if (arg.rfind("--counter-pct=", 0) == 0) {
             thresholds.counterGrowth =
-                std::atof(value("--counter-pct=").c_str()) / 100.0;
+                parseAmount(value("--counter-pct="), "--counter-pct") / 100.0;
         } else if (arg.rfind("--wall-pct=", 0) == 0) {
             thresholds.wallGrowth =
-                std::atof(value("--wall-pct=").c_str()) / 100.0;
+                parseAmount(value("--wall-pct="), "--wall-pct") / 100.0;
         } else if (arg.rfind("--min-wall=", 0) == 0) {
             thresholds.minWallSeconds =
-                std::atof(value("--min-wall=").c_str());
+                parseAmount(value("--min-wall="), "--min-wall");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -577,9 +598,8 @@ int cmdCampaignDiff(int argc, char** argv) {
             return 2;
         }
     }
-    if (baselinePath.empty() && benchPath.empty()) {
-        std::cerr << "streak: campaign diff needs --baseline and/or"
-                     " --bench\n";
+    if (baselinePath.empty()) {
+        std::cerr << "streak: campaign diff needs --baseline=FILE.jsonl\n";
         return 2;
     }
 
@@ -593,54 +613,26 @@ int cmdCampaignDiff(int argc, char** argv) {
         return 3;
     }
 
-    std::vector<campaign::DiffReport> reports;
-    if (!baselinePath.empty()) {
-        const campaign::Store baseline =
-            campaign::readStoreFile(baselinePath);
-        for (const std::string& problem : baseline.problems) {
-            std::cerr << "streak: campaign: " << problem << '\n';
-        }
-        reports.push_back(
-            campaign::diffAgainstStore(baseline, current, thresholds));
+    const campaign::Store baseline = campaign::readStoreFile(baselinePath);
+    for (const std::string& problem : baseline.problems) {
+        std::cerr << "streak: campaign: " << problem << '\n';
     }
-    if (!benchPath.empty()) {
-        std::ifstream in(benchPath);
-        if (!in) {
-            std::cerr << "streak: cannot open " << benchPath << '\n';
-            return 3;
-        }
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        std::string parseError;
-        const obs::json::Value bench =
-            obs::json::parse(buffer.str(), &parseError);
-        if (bench.isNull() && !parseError.empty()) {
-            std::cerr << "streak: " << benchPath << ": " << parseError
+    const campaign::DiffReport report =
+        campaign::diffAgainstStore(baseline, current, thresholds);
+    if (!quiet) {
+        for (const std::string& note : report.notes) {
+            std::cout << "campaign: note (" << report.against << "): " << note
                       << '\n';
-            return 3;
         }
-        reports.push_back(
-            campaign::diffAgainstBench(bench, current, thresholds));
     }
-
-    int regressionCount = 0;
-    for (const campaign::DiffReport& report : reports) {
-        if (!quiet) {
-            for (const std::string& note : report.notes) {
-                std::cout << "campaign: note (" << report.against
-                          << "): " << note << '\n';
-            }
-        }
-        for (const campaign::Regression& r : report.regressions) {
-            std::cerr << "campaign: REGRESSION (" << report.against << ") "
-                      << r.kind << ' ' << r.config << '/' << r.instance
-                      << ' ' << r.metric << ": " << r.baseline << " -> "
-                      << r.current << " (" << io::Table::fixed(
-                             r.growthPercent, 1) << "%)\n";
-        }
-        regressionCount += static_cast<int>(report.regressions.size());
+    for (const campaign::Regression& r : report.regressions) {
+        std::cerr << "campaign: REGRESSION (" << report.against << ") "
+                  << r.kind << ' ' << r.config << '/' << r.instance << ' '
+                  << r.metric << ": " << r.baseline << " -> " << r.current
+                  << " (" << io::Table::fixed(r.growthPercent, 1) << "%)\n";
     }
-    const obs::json::Value verdict = campaign::verdictJson(reports);
+    const auto regressionCount = static_cast<int>(report.regressions.size());
+    const obs::json::Value verdict = campaign::verdictJson({report});
     if (!verdictPath.empty()) {
         std::ofstream os(verdictPath);
         if (!os) {
@@ -651,10 +643,7 @@ int cmdCampaignDiff(int argc, char** argv) {
         os << '\n';
         if (!quiet) std::cout << "wrote " << verdictPath << '\n';
     }
-    int compared = 0;
-    for (const campaign::DiffReport& report : reports) {
-        compared += report.comparedRuns;
-    }
+    const int compared = report.comparedRuns;
     std::cout << "campaign: " << compared << " comparison"
               << (compared == 1 ? "" : "s") << ", " << regressionCount
               << " regression" << (regressionCount == 1 ? "" : "s") << '\n';
@@ -682,6 +671,9 @@ int main(int argc, char** argv) {
         if (cmd == "route") return cmdRoute(argc, argv);
         if (cmd == "eco") return cmdEco(argc, argv);
         if (cmd == "campaign") return cmdCampaign(argc, argv);
+    } catch (const UsageError& e) {
+        std::cerr << "streak: " << e.what() << '\n';
+        return 2;
     } catch (const streak::robust::StreakException& e) {
         // Structured failures outside runStreak (e.g. reading the design
         // file) still map to their distinct exit codes.

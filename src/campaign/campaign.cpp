@@ -1,5 +1,6 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -26,8 +27,7 @@ namespace json = obs::json;
 
 namespace {
 
-/// (config, instance, threads) — the identity of one sweep point. Wall
-/// time depends on the thread count, so thread points diff separately.
+/// (config, instance, threads) — the identity of one sweep point.
 std::string keyOf(const RunRecord& r) {
     return r.config + '/' + r.instance + "/t" + std::to_string(r.threads);
 }
@@ -70,11 +70,6 @@ void compareRecords(const RunRecord& base, const RunRecord& cur,
                    static_cast<double>(it->second),
                    static_cast<double>(value), t.counterGrowth);
     }
-    // Wall time: noisy; compare only runs above the floor.
-    if (std::max(base.wallSeconds, cur.wallSeconds) >= t.minWallSeconds) {
-        flagGrowth(report, cur, "wall", "wallSeconds", base.wallSeconds,
-                   cur.wallSeconds, t.wallGrowth);
-    }
     // Quality: any loss is a regression.
     flagGrowth(report, cur, "quality", "wirelength",
                static_cast<double>(base.wirelength),
@@ -95,10 +90,6 @@ void compareRecords(const RunRecord& base, const RunRecord& cur,
                                        "degraded", 0.0, 1.0, 100.0});
     }
 }
-
-/// Largest magnitude up to which every integer is a double: counters and
-/// metrics beyond it cannot have been written by a run.
-constexpr double kMaxExact = 9007199254740992.0;  // 2^53
 
 bool integral(double x, double lo, double hi) {
     return x >= lo && x <= hi && x == std::trunc(x);
@@ -131,7 +122,8 @@ struct Reader {
     /// An integral number in [lo, hi]; anything else (fractions, values
     /// a double cannot hold exactly, out-of-range) is a problem.
     long long integer(const json::Value& v, const char* key,
-                      double lo = -kMaxExact, double hi = kMaxExact) {
+                      double lo = -kMaxStoredCount,
+                      double hi = kMaxStoredCount) {
         const double x = number(v, key);
         if (ok && !integral(x, lo, hi)) {
             fail(std::string("field '") + key + "' is not an integer in range");
@@ -280,7 +272,7 @@ std::optional<RunRecord> recordFromJson(const json::Value& value,
     if (const json::Value* counters = r.object(value, "counters")) {
         for (const auto& [name, v] : counters->asObject().items()) {
             if (v.kind() != json::Kind::Number ||
-                !integral(v.asNumber(), -kMaxExact, kMaxExact)) {
+                !integral(v.asNumber(), -kMaxStoredCount, kMaxStoredCount)) {
                 r.fail("counter '" + name + "' is not an integer in range");
                 break;
             }
@@ -402,9 +394,9 @@ std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
                 for (const auto& [name, factor] : spec.scaleCounters) {
                     const auto it = record.counters.find(name);
                     if (it != record.counters.end()) {
-                        it->second = static_cast<long long>(
-                            std::llround(static_cast<double>(it->second) *
-                                         factor));
+                        it->second = std::llround(std::clamp(
+                            static_cast<double>(it->second) * factor,
+                            -kMaxStoredCount, kMaxStoredCount));
                     }
                 }
                 if (log != nullptr) {

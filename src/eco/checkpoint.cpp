@@ -451,6 +451,19 @@ void validateCheckpoint(Reader* r, const Checkpoint& c) {
 
 }  // namespace
 
+std::vector<std::pair<int, int>> unroutedBits(const StreakResult& result) {
+    std::vector<std::pair<int, int>> out;
+    out.reserve(result.routed.unroutedMembers.size());
+    for (const auto& [objIdx, member] : result.routed.unroutedMembers) {
+        const RoutingObject& obj =
+            result.problem.objects[static_cast<size_t>(objIdx)];
+        out.emplace_back(obj.groupIndex,
+                         obj.bitIndices[static_cast<size_t>(member)]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 Checkpoint makeCheckpoint(const Design& design, const StreakOptions& opts,
                           const StreakResult& result) {
     Checkpoint c;
@@ -458,13 +471,7 @@ Checkpoint makeCheckpoint(const Design& design, const StreakOptions& opts,
     c.opts = semanticOptions(opts);
     c.chosen = result.solverSolution.chosen;
     c.bits = result.routed.bits;
-    for (const auto& [objIdx, member] : result.routed.unroutedMembers) {
-        const RoutingObject& obj =
-            result.problem.objects[static_cast<size_t>(objIdx)];
-        c.unroutedBits.emplace_back(
-            obj.groupIndex, obj.bitIndices[static_cast<size_t>(member)]);
-    }
-    std::sort(c.unroutedBits.begin(), c.unroutedBits.end());
+    c.unroutedBits = unroutedBits(result);
     for (int e = 0; e < design.grid.numEdges(); ++e) {
         const int u = result.routed.usage.usage(e);
         if (u > 0) c.usagePairs.emplace_back(e, u);

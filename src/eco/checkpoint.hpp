@@ -1,11 +1,12 @@
-// Versioned serialization of routed state (DESIGN.md "Incremental ECO").
+// Versioned serialization of routed state (DESIGN.md "ECO").
 //
-// A checkpoint freezes everything an incremental ECO re-route needs to
-// treat untouched groups as solved: the full design (grid capacities
+// A checkpoint freezes a finished run: the full design (grid capacities
 // included), the semantic option subset the run used, the solver's
 // chosen[] artifact, every routed bit with its topology and trunk
 // layers, the per-edge/per-cell usage, the per-group distance flags and
-// the headline metrics.
+// the headline metrics. `streak eco` re-routes its design after deltas
+// with its options; the rest is the routed state a reader can inspect or
+// chain on without re-running anything.
 //
 // On disk the format is a fixed 8-byte magic ("STRKECO\n"), a u32
 // format version, a length-prefixed informational JSON header, a
@@ -49,11 +50,10 @@ struct Checkpoint {
     StreakOptions opts;
     /// Solver artifact: selected candidate per routing object (-1 =
     /// unrouted). Kept for round-trips and diagnostics; the ECO re-route
-    /// does not consume it. Empty for checkpoints made from ECO output.
+    /// does not consume it.
     std::vector<int> chosen;
-    /// Routed bits with global group indices, in the original run's
-    /// emission order (per-group relative order is what equivalence
-    /// stitching relies on).
+    /// Routed bits with global group indices, in the run's emission
+    /// order.
     std::vector<RoutedBit> bits;
     /// Unrouted bits as (groupIndex, bitIndex) pairs, sorted.
     std::vector<std::pair<int, int>> unroutedBits;
@@ -78,8 +78,13 @@ struct Checkpoint {
 /// (deadline, cancellation, recovery policy, observer, control ticket).
 [[nodiscard]] StreakOptions semanticOptions(const StreakOptions& opts);
 
-/// Freeze a finished flow run. Copies the design; maps the result's
-/// (objectIndex, memberIndex) unrouted pairs to (group, bit).
+/// A run's unrouted bits as sorted (groupIndex, bitIndex) pairs: its
+/// run-local (objectIndex, memberIndex) pairs mapped through its problem.
+[[nodiscard]] std::vector<std::pair<int, int>> unroutedBits(
+    const StreakResult& result);
+
+/// Freeze a finished flow run (a `streak route` run or an ECO re-route).
+/// Copies the design; stores unroutedBits(result).
 [[nodiscard]] Checkpoint makeCheckpoint(const Design& design,
                                         const StreakOptions& opts,
                                         const StreakResult& result);

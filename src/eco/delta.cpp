@@ -52,15 +52,6 @@ const char* deltaKindName(DeltaKind kind) {
     return "?";
 }
 
-geom::Rect dirtyRect(const Delta& delta, const Design& designBefore) {
-    if (delta.kind != DeltaKind::MovePin) return delta.area;
-    const geom::Point from =
-        designBefore.groups[static_cast<size_t>(delta.group)]
-            .bits[static_cast<size_t>(delta.bit)]
-            .pins[static_cast<size_t>(delta.pin)];
-    return geom::Rect::bounding(from, delta.to);
-}
-
 void applyDelta(Design* design, const Delta& delta) {
     switch (delta.kind) {
         case DeltaKind::MovePin: {

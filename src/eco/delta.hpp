@@ -1,4 +1,4 @@
-// ECO deltas: the four incremental edits the re-router understands.
+// ECO deltas: the four design edits `streak eco` understands.
 //
 // A delta script is line oriented ('#' comments, blank lines ignored):
 //
@@ -43,12 +43,6 @@ struct Delta {
     int layer = 0;
     int capacity = 0;
 };
-
-/// The G-Cell rectangle a delta touches, used by the invalidation
-/// closure. For MovePin this is the bounding box of the pin's old
-/// (looked up in `designBefore`) and new locations.
-[[nodiscard]] geom::Rect dirtyRect(const Delta& delta,
-                                   const Design& designBefore);
 
 /// Validate `delta` against `design` and apply it in place.
 void applyDelta(Design* design, const Delta& delta);

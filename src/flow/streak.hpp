@@ -74,8 +74,8 @@ struct StreakResult {
     /// Group-indexed Vio(dst) flags (1 = violating) backing the counts
     /// above; "after" tracks the post stage exactly like
     /// distanceViolationsAfter (rollback restores the pre-post flags,
-    /// a skipped analysis leaves all groups clean). The incremental-ECO
-    /// stitcher carries untouched groups' flags over verbatim.
+    /// a skipped analysis leaves all groups clean). ECO checkpoints
+    /// freeze them and eco::equivalent compares them group by group.
     std::vector<char> groupDistanceBefore;
     std::vector<char> groupDistanceAfter;
 

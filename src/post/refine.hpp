@@ -24,8 +24,8 @@ struct RefinementResult {
     /// Initial per-group thresholds (reused for the "after" analysis).
     std::vector<int> thresholds;
     /// Group-indexed violation flags of the "after" analysis (1 = the
-    /// group still violates). The incremental-ECO stitcher sums carried
-    /// and re-solved groups from these instead of the aggregate count.
+    /// group still violates); the flow publishes them as
+    /// StreakResult::groupDistanceAfter.
     std::vector<char> groupViolatingAfter;
     /// Stats of the parallel distance analyses and detour waves.
     parallel::RegionStats parallelStats;

@@ -1,7 +1,8 @@
 // End-to-end campaign runs (slow tier): a mini sweep over a shrunk
 // suite persists well-formed, provenance-stamped records; the records
 // round-trip through the JSONL store; a self-diff is clean; and the
-// counter-scaling drill knob makes the diff flag an LP-pivot regression.
+// counter-scaling drill knob makes the diff flag an LP-pivot regression,
+// saturating instead of overflowing for huge factors.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -142,6 +143,30 @@ TEST_F(CampaignSweep, ScaledCounterDrillFlagsAPivotRegression) {
     EXPECT_FALSE(verdict.find("ok")->asBool());
     EXPECT_EQ(static_cast<int>(verdict.find("regressionCount")->asNumber()),
               1);
+}
+
+TEST_F(CampaignSweep, HugeScaleFactorSaturatesIntoAReadableStore) {
+    // A product beyond the store's exact-integer range saturates at
+    // kMaxStoredCount instead of overflowing, so the written line reads
+    // back and the diff still flags the regression.
+    campaign::CampaignSpec drill;
+    drill.suites = {1};
+    drill.configs = {campaign::configByName("ilp")};
+    drill.threads = {1};
+    drill.scaleCounters = {{"ilp/lp.pivots", 1e300}};
+    std::stringstream io;
+    campaign::appendStore(campaign::runCampaign(drill), io);
+    const campaign::Store current = campaign::readStore(io, "drill");
+    EXPECT_TRUE(current.problems.empty())
+        << (current.problems.empty() ? "" : current.problems.front());
+    ASSERT_EQ(current.records.size(), 1u);
+    EXPECT_EQ(current.records.front().counters.at("ilp/lp.pivots"),
+              static_cast<long long>(campaign::kMaxStoredCount));
+
+    const campaign::DiffReport report =
+        campaign::diffAgainstStore(store(), current);
+    ASSERT_EQ(report.regressions.size(), 1u);
+    EXPECT_EQ(report.regressions.front().metric, "ilp/lp.pivots");
 }
 
 }  // namespace

@@ -26,11 +26,12 @@ endfunction()
 
 foreach(probe --suites=9 --suites=0 --suites=abc --suites=1,x --suites=
               --configs=bogus --configs=pd,nope --scale-counter=x:abc
-              --scale-counter=x: --scale-counter=x:-2 --no-such-option)
+              --scale-counter=x: --scale-counter=x:-2 --scale-counter=x:0
+              --scale-counter=ilp/lp.pivots:1e300 --no-such-option)
   expect_usage_error("run ${probe}" run "--store=${store}" "${probe}")
 endforeach()
-foreach(probe --counter-pct=abc --counter-pct= --wall-pct= --wall-pct=5x
-              --min-wall= --min-wall=-1 --bench=BENCH_streak.json)
+foreach(probe --counter-pct=abc --counter-pct= --wall-pct=50
+              --bench=BENCH_streak.json)
   expect_usage_error("diff ${probe}" diff "${store}" "--baseline=${store}"
                      "${probe}")
 endforeach()

@@ -1,13 +1,13 @@
-// Differential equivalence harness for incremental ECO re-routing
-// (DESIGN.md "Incremental ECO", check.sh stage 9).
+// Differential equivalence harness for ECO re-routing (DESIGN.md "ECO",
+// check.sh stage 9).
 //
 // The headline property: for every delta kind, over the shrunk synth
-// suites, at thread counts 1/2/8, an incremental re-route of the
-// affected-group closure is byte-identical — metrics, per-edge usage,
-// topologies, cluster partitions, distance flags, the unrouted set — to
-// a from-scratch re-route of the mutated design. Plus checkpoint
-// round-trips, closure precision/transitivity units, delta-script
-// parsing and the carried-groups speedup claim.
+// suites, an ECO re-route at one thread is byte-identical — metrics,
+// per-edge usage, topologies, cluster partitions, distance flags, the
+// unrouted set — to a from-scratch re-route of the mutated design at 2
+// and 8 threads; chained through written checkpoints, the bytes match a
+// checkpoint of the cold re-route at every step. Plus checkpoint
+// round-trips, delta-script parsing and the report section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "eco/checkpoint.hpp"
 #include "eco/delta.hpp"
 #include "eco/eco.hpp"
+#include "flow/report_check.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "geom/rect.hpp"
@@ -46,7 +47,7 @@ gen::SuiteSpec shrunkSpec(int suite) {
 StreakOptions ecoOptions(int threads) {
     StreakOptions opts;
     opts.postOptimize = true;
-    opts.maxDetourShift = 3;  // keep refinement windows tight
+    opts.maxDetourShift = 3;  // short refinement detours keep runs quick
     opts.threads = threads;
     return opts;
 }
@@ -72,7 +73,7 @@ Delta rectDelta(DeltaKind kind, geom::Rect area, int layer, int capacity) {
 
 /// One representative delta per kind, derived from the design so every
 /// suite gets valid coordinates. The rect deltas sit next to group 0's
-/// first pin so they actually intersect a window.
+/// first pin so they actually touch its routing.
 std::vector<Delta> oneDeltaPerKind(const Design& d) {
     const geom::Point p = d.groups[0].bits[0].pins[0];
     const geom::Point q{p.x + 1 < d.grid.width() ? p.x + 1 : p.x - 1, p.y};
@@ -87,9 +88,7 @@ std::vector<Delta> oneDeltaPerKind(const Design& d) {
     };
 }
 
-/// Four signal groups on a corridor: A-B-C chain-overlap through shared
-/// window columns, D is spatially isolated. With post optimization off
-/// the windows are exactly the pin bounding boxes.
+/// Four two-bit signal groups on a corridor.
 Design laneDesign() {
     Design d{"lanes", grid::RoutingGrid(40, 8, 2, 8), {}};
     const auto lane = [](std::string name, int x0) {
@@ -106,53 +105,6 @@ Design laneDesign() {
     };
     d.groups = {lane("A", 2), lane("B", 6), lane("C", 10), lane("D", 20)};
     return d;
-}
-
-// ---------------------------------------------------------------- closure
-
-TEST(EcoClosure, DeltaOutsideEveryWindowInvalidatesNothing) {
-    const Design before = laneDesign();
-    StreakOptions opts;  // post off: windows are the pin bboxes
-    const Delta d =
-        rectDelta(DeltaKind::AddBlockage, {{30, 2}, {33, 4}}, 0, 1);
-    Design after = laneDesign();
-    eco::applyDelta(&after, d);
-    EXPECT_TRUE(eco::affectedGroups(before, after, opts, {d}).empty());
-}
-
-TEST(EcoClosure, OverlappingWindowsPropagateTransitively) {
-    const Design before = laneDesign();
-    StreakOptions opts;
-    // Dirty rect inside A's window only; B overlaps A at x=6, C overlaps
-    // B at x=10 but touches neither A nor the dirty rect. The closure
-    // must still pull C in (capacity pressure can ripple A -> B -> C),
-    // while the isolated D stays carried.
-    const Delta d = rectDelta(DeltaKind::AddBlockage, {{3, 3}, {4, 3}}, 0, 1);
-    Design after = laneDesign();
-    eco::applyDelta(&after, d);
-    EXPECT_EQ(eco::affectedGroups(before, after, opts, {d}),
-              (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EcoClosure, IsolatedGroupClosesAlone) {
-    const Design before = laneDesign();
-    StreakOptions opts;
-    const Delta d = movePin(3, 0, 1, {23, 2});
-    Design after = laneDesign();
-    eco::applyDelta(&after, d);
-    EXPECT_EQ(eco::affectedGroups(before, after, opts, {d}),
-              (std::vector<int>{3}));
-}
-
-TEST(EcoClosure, RefinementMarginWidensTheWindow) {
-    const Design d = laneDesign();
-    StreakOptions off;  // post off: margin 0
-    StreakOptions on = ecoOptions(1);
-    const geom::Rect tight = eco::groupWindow(d, 0, off);
-    const geom::Rect wide = eco::groupWindow(d, 0, on);
-    EXPECT_LE(wide.lo.x, tight.lo.x);
-    EXPECT_GE(wide.hi.x, tight.hi.x);
-    EXPECT_LT(wide.lo.y, tight.lo.y);  // margin > 0 for 2-pin bits
 }
 
 // ----------------------------------------------------------- round trips
@@ -217,18 +169,22 @@ TEST(EcoDelta, OutOfRangeDeltaLeavesTheDesignUntouched) {
 class EcoEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(EcoEquivalence, EveryDeltaKindMatchesColdAtEveryThreadCount) {
+    // ECO at one thread against cold re-routes at 2 and 8 threads, so
+    // the equivalence also covers thread-count invariance.
     const Design base = gen::generate(shrunkSpec(GetParam()));
-    for (const int threads : {1, 2, 8}) {
-        const StreakOptions opts = ecoOptions(threads);
-        const FlowResult baseFlow = runStreak(base, opts);
-        ASSERT_TRUE(baseFlow.ok()) << baseFlow.error().describe();
-        const eco::Checkpoint ckpt =
-            eco::makeCheckpoint(base, opts, baseFlow.value());
-        for (const Delta& del : oneDeltaPerKind(base)) {
+    const StreakOptions opts = ecoOptions(1);
+    const FlowResult baseFlow = runStreak(base, opts);
+    ASSERT_TRUE(baseFlow.ok()) << baseFlow.error().describe();
+    const eco::Checkpoint ckpt =
+        eco::makeCheckpoint(base, opts, baseFlow.value());
+    for (const Delta& del : oneDeltaPerKind(base)) {
+        const eco::EcoResult inc = eco::runEco(ckpt, {del}, 1);
+        ASSERT_NE(inc.sub, nullptr);
+        for (const int threads : {2, 8}) {
             SCOPED_TRACE(std::string(eco::deltaKindName(del.kind)) +
-                         " at threads " + std::to_string(threads));
-            const eco::EcoResult inc = eco::runEco(ckpt, {del});
-            const FlowResult cold = runStreak(*inc.design, opts);
+                         " against cold at threads " +
+                         std::to_string(threads));
+            const FlowResult cold = runStreak(*inc.design, ecoOptions(threads));
             ASSERT_TRUE(cold.ok()) << cold.error().describe();
             std::string diff;
             EXPECT_TRUE(eco::equivalent(inc, cold.value(), &diff)) << diff;
@@ -238,46 +194,6 @@ TEST_P(EcoEquivalence, EveryDeltaKindMatchesColdAtEveryThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(ShrunkSuites, EcoEquivalence,
                          ::testing::Range(1, 8));
-
-TEST(EcoIncrementality, IsolatedMoveResolvesStrictlyFewerGroups) {
-    // The speedup claim behind the whole subsystem: a single pin move in
-    // an isolated group re-solves only that group's closure; everything
-    // else is carried verbatim — and the stitched result still matches a
-    // cold re-route bit for bit.
-    const Design base = laneDesign();
-    StreakOptions opts;  // post off: exact pin-bbox windows
-    const FlowResult baseFlow = runStreak(base, opts);
-    ASSERT_TRUE(baseFlow.ok());
-    const eco::Checkpoint ckpt =
-        eco::makeCheckpoint(base, opts, baseFlow.value());
-    const eco::EcoResult inc =
-        eco::runEco(ckpt, {movePin(3, 0, 1, {23, 2})});
-    EXPECT_EQ(inc.resolvedGroups, (std::vector<int>{3}));
-    EXPECT_EQ(inc.carriedGroups(), 3);
-    EXPECT_LT(static_cast<int>(inc.resolvedGroups.size()), inc.totalGroups);
-    const FlowResult cold = runStreak(*inc.design, opts);
-    ASSERT_TRUE(cold.ok());
-    std::string diff;
-    EXPECT_TRUE(eco::equivalent(inc, cold.value(), &diff)) << diff;
-}
-
-TEST(EcoIncrementality, EmptyClosureCarriesEverythingVerbatim) {
-    const Design base = laneDesign();
-    StreakOptions opts;
-    const FlowResult baseFlow = runStreak(base, opts);
-    ASSERT_TRUE(baseFlow.ok());
-    const eco::Checkpoint ckpt =
-        eco::makeCheckpoint(base, opts, baseFlow.value());
-    // A blockage in empty space changes no group's feasible region.
-    const eco::EcoResult inc = eco::runEco(
-        ckpt, {rectDelta(DeltaKind::AddBlockage, {{30, 2}, {33, 4}}, 0, 1)});
-    EXPECT_TRUE(inc.resolvedGroups.empty());
-    EXPECT_EQ(inc.carriedGroups(), 4);
-    const FlowResult cold = runStreak(*inc.design, opts);
-    ASSERT_TRUE(cold.ok());
-    std::string diff;
-    EXPECT_TRUE(eco::equivalent(inc, cold.value(), &diff)) << diff;
-}
 
 // ------------------------------------------------ randomized sequences
 
@@ -309,10 +225,18 @@ Delta randomDelta(std::mt19937& rng, const Design& d) {
                      pick(1, d.grid.defaultCapacity()));
 }
 
+std::string checkpointBytes(const eco::Checkpoint& ckpt) {
+    std::ostringstream os;
+    eco::writeCheckpoint(ckpt, os);
+    return std::move(os).str();
+}
+
 TEST(EcoProperty, RandomDeltaSequencesChainAndMatchColdReroutes) {
-    // Chained incrementality: checkpoint -> delta -> eco -> re-checkpoint
-    // -> next delta, comparing against a cold re-route at every step.
-    // Thread count rotates through the 1/2/8 ladder across steps.
+    // Chained ECO: checkpoint -> delta -> eco -> write -> read -> next
+    // delta, comparing against a cold re-route at every step. The written
+    // bytes must equal a checkpoint of the cold run, so the write/read
+    // cycle loses nothing along the chain. Thread count rotates through
+    // the 1/2/8 ladder across steps.
     const int kThreads[] = {1, 2, 8};
     for (const unsigned seed : {11u, 23u}) {
         std::mt19937 rng(seed);
@@ -336,7 +260,11 @@ TEST(EcoProperty, RandomDeltaSequencesChainAndMatchColdReroutes) {
             ASSERT_TRUE(cold.ok()) << cold.error().describe();
             std::string diff;
             ASSERT_TRUE(eco::equivalent(inc, cold.value(), &diff)) << diff;
-            ckpt = eco::makeCheckpoint(inc, coldOpts);
+            const std::string written =
+                checkpointBytes(eco::makeCheckpoint(inc, coldOpts));
+            ASSERT_EQ(written, checkpointBytes(eco::makeCheckpoint(
+                                   *inc.design, coldOpts, cold.value())));
+            ckpt = eco::readCheckpointBuffer(written);
         }
     }
 }
@@ -352,22 +280,21 @@ TEST(EcoReport, CarriesTheRunSchemaPlusAnEcoSection) {
         eco::makeCheckpoint(base, opts, baseFlow.value());
     const eco::EcoResult inc =
         eco::runEco(ckpt, {movePin(3, 0, 1, {23, 2})});
-    const obs::json::Value report =
-        eco::buildEcoReport(inc, opts, 0.25, 0.75);
+    const obs::json::Value report = eco::buildEcoReport(inc, opts, 0.25);
     ASSERT_NE(report.find("schema"), nullptr);
     EXPECT_EQ(report.find("schema")->asString(), "streak-run-report");
     const obs::json::Value* ecoSec = report.find("eco");
     ASSERT_NE(ecoSec, nullptr);
     EXPECT_EQ(ecoSec->find("totalGroups")->asNumber(), 4.0);
-    EXPECT_EQ(ecoSec->find("resolvedGroups")->asNumber(), 1.0);
-    EXPECT_EQ(ecoSec->find("carriedGroups")->asNumber(), 3.0);
-    EXPECT_EQ(ecoSec->find("coldSeconds")->asNumber(), 0.75);
+    EXPECT_EQ(ecoSec->find("resolvedGroups")->asNumber(), 4.0);
+    EXPECT_EQ(ecoSec->find("seconds")->asNumber(), 0.25);
     const obs::json::Value* robustSec = report.find("robust");
     ASSERT_NE(robustSec, nullptr);
     EXPECT_NE(robustSec->find("degradations"), nullptr);
-    // Round-trips through the JSON parser (the report_check contract).
-    std::string error;
-    EXPECT_FALSE(obs::json::parse(report.dump(2), &error).isNull()) << error;
+    // Passes the report_check contract with the eco section required.
+    const flow::CheckResult check =
+        flow::checkRunReport(report.dump(2), "eco report", true);
+    EXPECT_TRUE(check.ok()) << (check.ok() ? "" : check.problems.front());
 }
 
 }  // namespace

@@ -29,13 +29,14 @@
 #                                    ASan/UBSan, then a --deadline= CLI
 #                                    run whose report must validate with
 #                                    the robust section present)
-#   9. incremental ECO drill        (eco_test differential equivalence
+#   9. ECO drill                    (eco_test differential equivalence
 #                                    suite, checkpoint-reader fuzz under
 #                                    ASan/UBSan, then a checkpoint ->
-#                                    delta -> `streak eco --cold-check`
-#                                    CLI run whose report must validate
-#                                    and re-solve strictly fewer groups
-#                                    than a cold re-route)
+#                                    delta -> `streak eco --save=` CLI
+#                                    run at --threads=1 and 8 whose saved
+#                                    checkpoints must be byte-identical
+#                                    and whose report must pass
+#                                    `report_check --eco`)
 #  10. campaign regression drill    (`streak campaign run` sweeps every
 #                                    builtin config over the shrunk
 #                                    synth1-7 into a JSONL store;
@@ -150,38 +151,37 @@ cmake --build --preset asan-ubsan -j "$JOBS" \
     --deadline=60 --report="$OBS_TMP/deadline.json" --quiet
 ./build/tools/report_check "$OBS_TMP/deadline.json"
 
-echo "== [9/10] incremental ECO drill =="
-# Differential equivalence contract (DESIGN.md "Incremental ECO"): an
-# incremental re-route of the affected-group closure is byte-identical
-# to a from-scratch re-route of the mutated design.
+echo "== [9/10] ECO drill =="
+# Differential equivalence contract (DESIGN.md "ECO"): an ECO re-route
+# of the mutated design is byte-identical to a from-scratch re-route at
+# other thread counts, and chained checkpoints lose nothing.
 cmake --build --preset dev --target eco_test -j "$JOBS" >/dev/null
 ./build/tests/eco_test
 # Checkpoint-reader fuzz (truncation / bit flips / version skew) under
 # the sanitizers: hostile input must fail structurally, never with UB.
 cmake --build --preset asan-ubsan -j "$JOBS" --target fuzz_test >/dev/null
 ./build-asan/tests/fuzz_test --gtest_filter='CheckpointFuzz.*'
-# CLI drill: checkpoint a routed suite, apply a one-pin ECO, verify the
-# incremental result against a cold re-route, validate the report, and
-# require the closure to be a strict subset of the design's groups.
+# CLI drill: checkpoint a routed suite, apply a one-pin ECO at one and
+# at eight threads, require the two saved checkpoints to be
+# byte-identical, and validate the report with the eco section required.
 ./build/tools/streak generate 4 "$OBS_TMP/synth4.streak" >/dev/null
-./build/tools/streak route "$OBS_TMP/synth4.streak" --no-post \
+./build/tools/streak route "$OBS_TMP/synth4.streak" \
     --checkpoint="$OBS_TMP/synth4.ckpt" --quiet >/dev/null
 PIN=$(grep -m1 '^PIN' "$OBS_TMP/synth4.streak")
 printf 'MOVEPIN 0 0 0 %d %d\n' \
     "$(($(echo "$PIN" | cut -d' ' -f2) + 1))" \
     "$(echo "$PIN" | cut -d' ' -f3)" > "$OBS_TMP/fix.eco"
-./build/tools/streak eco "$OBS_TMP/synth4.ckpt" \
-    --deltas="$OBS_TMP/fix.eco" --cold-check \
-    --report="$OBS_TMP/eco.json" | tee "$OBS_TMP/eco.out"
-./build/tools/report_check "$OBS_TMP/eco.json"
-grep -q 'byte-identical' "$OBS_TMP/eco.out"
-read -r RESOLVED TOTAL < <(sed -n \
-    's|^eco: re-solved \([0-9]*\)/\([0-9]*\) .*|\1 \2|p' "$OBS_TMP/eco.out")
-if [[ "$RESOLVED" -ge "$TOTAL" ]]; then
-    echo "check.sh: eco resolved $RESOLVED/$TOTAL groups (expected a" \
-         "strict subset for a single-pin move)" >&2
+for T in 1 8; do
+    ./build/tools/streak eco "$OBS_TMP/synth4.ckpt" \
+        --deltas="$OBS_TMP/fix.eco" --threads="$T" \
+        --report="$OBS_TMP/eco-t$T.json" --save="$OBS_TMP/eco-t$T.ckpt"
+done
+if ! cmp "$OBS_TMP/eco-t1.ckpt" "$OBS_TMP/eco-t8.ckpt"; then
+    echo "check.sh: ECO checkpoints saved at --threads=1 and --threads=8" \
+         "differ" >&2
     exit 1
 fi
+./build/tools/report_check --eco "$OBS_TMP/eco-t1.json"
 
 echo "== [10/10] campaign regression drill =="
 # Sweep every builtin config (pd, pd-nopost, ilp, manual) over the

@@ -4,7 +4,7 @@
 //   streak info     <design.streak>                 print design stats;
 //                                                   exit 3 on Error findings
 //   streak route    <design.streak> [options]       route and report
-//   streak eco      <ckpt.streakeco> [options]      incremental re-route
+//   streak eco      <ckpt.streakeco> [options]      apply deltas, re-route
 //   streak campaign run  [options]                  sweep configs x suites
 //   streak campaign diff <store.jsonl> [options]    flag regressions
 //
@@ -29,22 +29,24 @@
 //   --checkpoint=<file>    freeze the routed state (design, options,
 //                          topologies, usage) for later `streak eco`
 //   --quiet                only the summary line
+// A number that does not parse or is out of range (--ilp-limit and
+// --deadline below 0, --threads outside 0-1024, --backbones below 1) is
+// a usage error (exit 2), as is the generate suite index outside 1-7.
 //
 // eco options:
 //   --deltas=<file>        delta script to apply (required); directives
 //                          MOVEPIN / ADDBLOCKAGE / REMOVEBLOCKAGE /
 //                          RESIZECAPACITY, '#' comments
-//   --threads=<n>          override the checkpoint's thread count (the
-//                          result is identical for every value)
-//   --cold                 also re-route the mutated design from scratch
-//                          and report incremental-vs-cold timing
-//   --cold-check           with --cold: verify the incremental result is
-//                          byte-identical to the cold one (exit 1 if not)
+//   --threads=<n>          override the checkpoint's thread count for this
+//                          run (the result, and the --save bytes, are
+//                          identical for every value)
 //   --report=<file.json>   write the run report (streak-run-report schema
 //                          plus an "eco" section)
-//   --save=<file>          checkpoint the stitched result, so another
+//   --save=<file>          checkpoint the re-routed result, so another
 //                          delta batch can chain on top
 //   --quiet                only the summary lines
+// The mutated design is re-routed from scratch with the checkpoint's
+// options (DESIGN.md "ECO").
 //
 // campaign run options:
 //   --store=<file.jsonl>   append one schema-versioned record per sweep
@@ -60,14 +62,13 @@
 //                          drill knob for exercising `campaign diff`
 //   --quiet                no per-run progress lines
 // A malformed campaign option value (unknown config, suite outside 1-7,
-// a number that does not parse) is a usage error (exit 2).
+// a number that does not parse, a scale factor outside (0, 2^53]) is a
+// usage error (exit 2).
 //
 // campaign diff options:
 //   --baseline=<file.jsonl>  prior store to compare against (required)
 //   --verdict=<file.json>    write the machine-readable verdict
 //   --counter-pct=<p>        counter growth threshold (default 10)
-//   --wall-pct=<p>           wall-time growth threshold (default 50)
-//   --min-wall=<sec>         wall noise floor (default 0.1)
 //   --quiet                  only the verdict summary line
 //
 // The stage table's "speedup" column estimates per-stage parallel
@@ -121,16 +122,14 @@ int usage() {
                  " [--scale-counter=NAME:FACTOR] [--quiet]\n"
               << "  streak campaign diff <store.jsonl> --baseline=FILE.jsonl"
                  " [--verdict=FILE.json]"
-                 " [--counter-pct=P] [--wall-pct=P] [--min-wall=SEC]"
-                 " [--quiet]\n"
+                 " [--counter-pct=P] [--quiet]\n"
               << "  streak route <design.streak> [--solver=pd|ilp]"
                  " [--ilp-limit=SEC] [--threads=N] [--no-post]"
                  " [--no-clustering] [--no-refinement] [--backbones=K]"
                  " [--heatmap=FILE] [--report=FILE.json] [--trace=FILE.json]"
                  " [--deadline=SEC] [--checkpoint=FILE] [--quiet]\n"
-              << "  streak eco <ckpt> --deltas=FILE [--threads=N] [--cold]"
-                 " [--cold-check] [--report=FILE.json] [--save=FILE]"
-                 " [--quiet]\n"
+              << "  streak eco <ckpt> --deltas=FILE [--threads=N]"
+                 " [--report=FILE.json] [--save=FILE] [--quiet]\n"
               << "\n"
                  "route prints a per-stage table; its speedup column"
                  " (task seconds / wall seconds) appears only for"
@@ -141,13 +140,55 @@ int usage() {
     return 2;
 }
 
+/// Thrown on a malformed option value; main turns it into exit 2.
+struct UsageError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
+/// A decimal integer in [lo, hi] for `option`.
+int parseInt(const std::string& text, const char* option, long lo, long hi) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
+        throw UsageError(std::string(option) + " wants an integer in [" +
+                         std::to_string(lo) + ", " + std::to_string(hi) +
+                         "], got '" + text + "'");
+    }
+    return static_cast<int>(v);
+}
+
+/// "1,3,7" -> {1, 3, 7}, every entry in [lo, hi].
+std::vector<int> parseIntList(const std::string& text, const char* option,
+                              long lo, long hi) {
+    std::vector<int> out;
+    std::stringstream ss(text);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        out.push_back(parseInt(item, option, lo, hi));
+    }
+    if (out.empty()) throw UsageError(std::string(option) + " wants a list");
+    return out;
+}
+
+/// A finite, non-negative number for `option`.
+double parseAmount(const std::string& text, const char* option) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+        throw UsageError(std::string(option) + " wants a non-negative " +
+                         "number, got '" + text + "'");
+    }
+    return v;
+}
+
+/// Worker-thread ceiling for --threads=: more workers than this is a
+/// typo, not a machine.
+constexpr long kMaxThreads = 1024;
+
 int cmdGenerate(int argc, char** argv) {
     if (argc != 4) return usage();
-    const int suite = std::atoi(argv[2]);
-    if (suite < 1 || suite > 7) {
-        std::cerr << "streak: suite index must be 1..7\n";
-        return 2;
-    }
+    const int suite = parseInt(argv[2], "suite index", 1, 7);
     const Design d = gen::makeSynth(suite);
     io::writeDesignFile(d, argv[3]);
     std::cout << "wrote " << argv[3] << " (" << d.numGroups() << " groups, "
@@ -206,9 +247,11 @@ int cmdRoute(int argc, char** argv) {
         } else if (arg == "--solver=hilp") {
             opts.solver = SolverKind::IlpHierarchical;
         } else if (arg.rfind("--ilp-limit=", 0) == 0) {
-            opts.ilpTimeLimitSeconds = std::atof(value("--ilp-limit=").c_str());
+            opts.ilpTimeLimitSeconds =
+                parseAmount(value("--ilp-limit="), "--ilp-limit");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = std::atoi(value("--threads=").c_str());
+            opts.threads =
+                parseInt(value("--threads="), "--threads", 0, kMaxThreads);
         } else if (arg == "--no-post") {
             opts.postOptimize = false;
         } else if (arg == "--no-clustering") {
@@ -217,7 +260,8 @@ int cmdRoute(int argc, char** argv) {
             opts.refinementEnabled = false;
         } else if (arg.rfind("--backbones=", 0) == 0) {
             opts.backbone.maxBackbones =
-                std::atoi(value("--backbones=").c_str());
+                parseInt(value("--backbones="), "--backbones", 1,
+                         std::numeric_limits<int>::max());
         } else if (arg.rfind("--heatmap=", 0) == 0) {
             heatmapPath = value("--heatmap=");
         } else if (arg.rfind("--svg=", 0) == 0) {
@@ -227,7 +271,8 @@ int cmdRoute(int argc, char** argv) {
         } else if (arg.rfind("--trace=", 0) == 0) {
             tracePath = value("--trace=");
         } else if (arg.rfind("--deadline=", 0) == 0) {
-            opts.deadlineSeconds = std::atof(value("--deadline=").c_str());
+            opts.deadlineSeconds =
+                parseAmount(value("--deadline="), "--deadline");
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             checkpointPath = value("--checkpoint=");
         } else if (arg == "--quiet") {
@@ -352,8 +397,6 @@ int cmdEco(int argc, char** argv) {
     std::string reportPath;
     std::string savePath;
     int threads = -1;
-    bool cold = false;
-    bool coldCheck = false;
     bool quiet = false;
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -363,12 +406,8 @@ int cmdEco(int argc, char** argv) {
         if (arg.rfind("--deltas=", 0) == 0) {
             deltasPath = value("--deltas=");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::atoi(value("--threads=").c_str());
-        } else if (arg == "--cold") {
-            cold = true;
-        } else if (arg == "--cold-check") {
-            cold = true;
-            coldCheck = true;
+            threads =
+                parseInt(value("--threads="), "--threads", 0, kMaxThreads);
         } else if (arg.rfind("--report=", 0) == 0) {
             reportPath = value("--report=");
         } else if (arg.rfind("--save=", 0) == 0) {
@@ -395,20 +434,19 @@ int cmdEco(int argc, char** argv) {
                   << " delta" << (deltas.size() == 1 ? "" : "s") << '\n';
     }
 
-    obs::Stopwatch watch;
+    const obs::Stopwatch watch;
     const eco::EcoResult r = eco::runEco(ckpt, deltas, threads);
-    const double incrementalSeconds = watch.seconds();
+    const double seconds = watch.seconds();
 
     StreakOptions effective = eco::semanticOptions(ckpt.opts);
     if (threads >= 0) effective.threads = threads;
 
-    for (const robust::Degradation& deg : r.degradations) {
+    for (const robust::Degradation& deg : r.sub->degradations) {
         std::cerr << "streak: degraded: " << deg.rung << " at " << deg.stage
                   << " (" << deg.message << ")\n";
     }
-    std::cout << "eco: re-solved " << r.resolvedGroups.size() << "/"
-              << r.totalGroups << " groups (carried " << r.carriedGroups()
-              << "), " << io::Table::fixed(incrementalSeconds, 3) << "s\n";
+    std::cout << "eco: re-routed " << r.totalGroups << " groups, "
+              << io::Table::fixed(seconds, 3) << "s\n";
     std::cout << "routed " << r.metrics.routedBits << "/"
               << r.metrics.totalBits << " ("
               << io::Table::percent(r.metrics.routability) << "), WL "
@@ -418,89 +456,24 @@ int cmdEco(int argc, char** argv) {
               << r.distanceViolationsAfter << ", overflow "
               << r.metrics.totalOverflow << '\n';
 
-    double coldSeconds = -1.0;
-    if (cold) {
-        watch.restart();
-        const FlowResult coldFlow = runStreak(*r.design, effective);
-        coldSeconds = watch.seconds();
-        if (!coldFlow.ok()) {
-            std::cerr << "streak: cold re-route failed: "
-                      << coldFlow.error().describe() << '\n';
-            return robust::exitCodeFor(coldFlow.error().kind);
-        }
-        std::cout << "cold: re-solved " << r.totalGroups << "/"
-                  << r.totalGroups << " groups, "
-                  << io::Table::fixed(coldSeconds, 3) << "s";
-        if (coldSeconds > 0.0 && incrementalSeconds > 0.0) {
-            std::cout << " (incremental "
-                      << io::Table::fixed(coldSeconds / incrementalSeconds, 2)
-                      << "x)";
-        }
-        std::cout << '\n';
-        if (coldCheck) {
-            std::string diff;
-            if (!eco::equivalent(r, coldFlow.value(), &diff)) {
-                std::cerr << "streak: eco/cold mismatch: " << diff << '\n';
-                return 1;
-            }
-            std::cout << "cold-check: incremental result is byte-identical"
-                         " to the cold re-route\n";
-        }
-    }
-
     if (!reportPath.empty()) {
         std::ofstream os(reportPath);
         if (!os) {
             std::cerr << "streak: cannot open " << reportPath << '\n';
             return 1;
         }
-        eco::buildEcoReport(r, effective, incrementalSeconds, coldSeconds)
-            .write(os, 2);
+        eco::buildEcoReport(r, effective, seconds).write(os, 2);
         os << '\n';
         if (!quiet) std::cout << "wrote " << reportPath << '\n';
     }
     if (!savePath.empty()) {
-        eco::writeCheckpointFile(eco::makeCheckpoint(r, effective), savePath);
+        // The checkpoint keeps its own options: a --threads override
+        // shapes this process's run, not the routed state, so the saved
+        // bytes are the same for every thread count.
+        eco::writeCheckpointFile(eco::makeCheckpoint(r, ckpt.opts), savePath);
         if (!quiet) std::cout << "wrote " << savePath << '\n';
     }
     return 0;
-}
-
-/// Thrown on a malformed option value; main turns it into exit 2.
-struct UsageError : std::invalid_argument {
-    using std::invalid_argument::invalid_argument;
-};
-
-/// "1,3,7" -> {1, 3, 7}, every entry in [lo, hi].
-std::vector<int> parseIntList(const std::string& text, const char* what,
-                              long lo, long hi) {
-    std::vector<int> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        char* end = nullptr;
-        errno = 0;
-        const long v = std::strtol(item.c_str(), &end, 10);
-        if (item.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
-            throw UsageError(std::string("bad ") + what + " entry '" + item +
-                             "' (want an integer in [" + std::to_string(lo) +
-                             ", " + std::to_string(hi) + "])");
-        }
-        out.push_back(static_cast<int>(v));
-    }
-    if (out.empty()) throw UsageError(std::string("empty ") + what + " list");
-    return out;
-}
-
-/// A finite, non-negative number for `option`.
-double parseAmount(const std::string& text, const char* option) {
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0) {
-        throw UsageError(std::string(option) + " wants a non-negative " +
-                         "number, got '" + text + "'");
-    }
-    return v;
 }
 
 int cmdCampaignRun(int argc, char** argv) {
@@ -526,9 +499,9 @@ int cmdCampaignRun(int argc, char** argv) {
                 }
             }
         } else if (arg.rfind("--suites=", 0) == 0) {
-            spec.suites = parseIntList(value("--suites="), "suite", 1, 7);
+            spec.suites = parseIntList(value("--suites="), "--suites", 1, 7);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            spec.threads = parseIntList(value("--threads="), "threads",
+            spec.threads = parseIntList(value("--threads="), "--threads",
                                         std::numeric_limits<int>::min(),
                                         std::numeric_limits<int>::max());
         } else if (arg.rfind("--scale-counter=", 0) == 0) {
@@ -538,8 +511,14 @@ int cmdCampaignRun(int argc, char** argv) {
                 std::cerr << "streak: --scale-counter wants NAME:FACTOR\n";
                 return 2;
             }
-            spec.scaleCounters[knob.substr(0, colon)] =
+            const double factor =
                 parseAmount(knob.substr(colon + 1), "--scale-counter");
+            if (factor <= 0.0 || factor > campaign::kMaxStoredCount) {
+                throw UsageError("--scale-counter wants a factor in "
+                                 "(0, 2^53], got '" +
+                                 knob.substr(colon + 1) + "'");
+            }
+            spec.scaleCounters[knob.substr(0, colon)] = factor;
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -585,12 +564,6 @@ int cmdCampaignDiff(int argc, char** argv) {
         } else if (arg.rfind("--counter-pct=", 0) == 0) {
             thresholds.counterGrowth =
                 parseAmount(value("--counter-pct="), "--counter-pct") / 100.0;
-        } else if (arg.rfind("--wall-pct=", 0) == 0) {
-            thresholds.wallGrowth =
-                parseAmount(value("--wall-pct="), "--wall-pct") / 100.0;
-        } else if (arg.rfind("--min-wall=", 0) == 0) {
-            thresholds.minWallSeconds =
-                parseAmount(value("--min-wall="), "--min-wall");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
